@@ -11,6 +11,7 @@ otherwise in ``B3``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 PLAIN_BASES = ("X", "Z")
@@ -118,22 +119,18 @@ class IcmCircuit:
         return [(self.index(c), self.index(t)) for c, t in self.cnots]
 
     def measured_ids(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.rules:
-            for q in r.measured_qubits():
-                if q not in seen:
-                    seen.append(q)
-        return tuple(seen)
+        return tuple(dict.fromkeys(q for r in self.rules for q in r.measured_qubits()))
 
-    def measurement_basis_positions(self, qid: str) -> list[Basis]:
-        """Every basis this qubit may be measured in across all rules."""
-        out: list[Basis] = []
+    @cached_property
+    def rotated_measured_ids(self) -> frozenset[str]:
+        """Ids that some rule may measure in a rotated basis (Y or A)."""
+        out: set[str] = set()
         for r in self.rules:
-            if r.q1 == qid:
-                out.append(r.b1)
-            if r.q2 == qid:
-                out.extend([r.b2, r.b3])  # type: ignore[list-item]
-        return out
+            if r.b1 in ROTATED_BASES:
+                out.add(r.q1)
+            if r.b2 in ROTATED_BASES or r.b3 in ROTATED_BASES:
+                out.add(r.q2)  # type: ignore[arg-type]
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -233,31 +230,35 @@ def parse_circuit(text: str) -> IcmCircuit:
         raise IcmParseError(str(exc))
 
 
-def _parse_measure(tok: list[str], ln: int, need) -> MeasurementRule:
+def _parse_measure(tok: list[str], ln: int, need, error=IcmParseError) -> MeasurementRule:
+    """Parse a tokenised ``measure`` line of the ``icm v1`` or ``spec v1`` format.
+
+    ``need(qid, ln)`` checks or passes through a qubit id; every other
+    problem is raised as ``error(message, ln)``.
+    """
+    def basis(b: str) -> Basis:
+        if b not in BASES:
+            raise error(f"unknown basis {b!r}", ln)
+        return b
+
     if len(tok) == 3:
-        return MeasurementRule(need(tok[1], ln), _basis(tok[2], ln))
+        return MeasurementRule(need(tok[1], ln), basis(tok[2]))
     # measure q1 B1 ? q2 B2 : q2 B3
     if len(tok) == 9 and tok[3] == "?" and tok[6] == ":":
         q1 = need(tok[1], ln)
         q2 = need(tok[4], ln)
         if tok[7] != q2:
-            raise IcmParseError(
+            raise error(
                 f"conditional branches name different qubits ({tok[4]!r} vs {tok[7]!r})", ln
             )
+        b1, b2, b3 = basis(tok[2]), basis(tok[5]), basis(tok[8])
         try:
-            return MeasurementRule(q1, _basis(tok[2], ln), q2,
-                                   _basis(tok[5], ln), _basis(tok[8], ln))
+            return MeasurementRule(q1, b1, q2, b2, b3)
         except IcmParseError as exc:
-            raise IcmParseError(str(exc), ln) from None
-    raise IcmParseError(
+            raise error(str(exc), ln) from None
+    raise error(
         "usage: measure <id> <B> | measure <id> <B> ? <id2> <B2> : <id2> <B3>", ln
     )
-
-
-def _basis(tok: str, ln: int) -> Basis:
-    if tok not in BASES:
-        raise IcmParseError(f"unknown basis {tok!r}", ln)
-    return tok
 
 
 def serialize_circuit(c: IcmCircuit) -> str:
@@ -280,7 +281,7 @@ def serialize_circuit(c: IcmCircuit) -> str:
 def teleport_rotation(c: IcmCircuit, q: QubitDecl) -> str:
     """Classify a teleport ancilla: 'init', 'measurement', 'none' or 'both'."""
     rot_init = q.init in ROTATED_BASES
-    rot_meas = any(b in ROTATED_BASES for b in c.measurement_basis_positions(q.id))
+    rot_meas = q.id in c.rotated_measured_ids
     if rot_init and rot_meas:
         return "both"
     if rot_init:

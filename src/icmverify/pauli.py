@@ -6,6 +6,12 @@ letter in text form), and a global phase as a power of ``i``.  A qubit
 whose x and z bits are both set carries the literal letter Y, with the
 convention ``Y = iXZ`` so that ``X*Z = -iY``.
 
+``conjugate_paulis`` moves a whole list of operators through a CNOT
+region at once: it transposes them into one x-bitset and one z-bitset
+per qubit (bit i belongs to operator i), so that each CNOT costs a few
+big-int operations however many operators there are.  The operators
+are transposed back only when the region is done.
+
 Truth-table rows pair a canonical (phase-free) input operator with an
 output operator and a +-1 sign; the sign is the phase quotient picked
 up between output product and input product when rows are multiplied.
@@ -13,10 +19,9 @@ up between output product and input product when rows are multiplied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -128,39 +133,52 @@ def conjugate_circuit(p: PauliOperator, cnots: Iterable[tuple[int, int]]) -> Pau
     return p
 
 
-# -- word-parallel batch conjugation ----------------------------------------
-#
-# Rows are held as (R, n) uint8 bit arrays so a whole table moves through
-# one CNOT with three vectorised column operations.
+def conjugate_paulis(
+    ops: Sequence[PauliOperator], cnots: Iterable[tuple[int, int]]
+) -> list[PauliOperator]:
+    """Conjugate every operator through a CNOT list at once.
 
-def conjugate_rows_batch(
-    xs: np.ndarray, zs: np.ndarray, signs: np.ndarray, cnots: Sequence[tuple[int, int]]
-) -> None:
-    """In-place conjugation of R rows at once; ``signs`` holds 0/1 flip bits."""
+    Equal to ``conjugate_circuit`` applied to each operator: the sign a
+    CNOT can introduce is returned as an added phase of 2.
+    """
+    if not ops:
+        return []
+    n = ops[0].n
+    if any(p.n != n for p in ops):
+        raise PauliError("cannot conjugate operators on different qubit counts together")
+    xs = _transpose([p.x for p in ops], n)
+    zs = _transpose([p.z for p in ops], n)
+    flips = 0
     for c, t in cnots:
-        xc = xs[:, c]
-        zt = zs[:, t]
-        signs ^= xc & zt & (xs[:, t] ^ zs[:, c] ^ 1)
-        xs[:, t] ^= xc
-        zs[:, c] ^= zt
+        xc, zt = xs[c], zs[t]
+        flips ^= xc & zt & ~(xs[t] ^ zs[c])
+        xs[t] ^= xc
+        zs[c] ^= zt
+    r = len(ops)
+    return [
+        PauliOperator(n, x, z, p.phase + 2 * ((flips >> i) & 1))
+        for i, (p, x, z) in enumerate(zip(ops, _transpose(xs, r), _transpose(zs, r)))
+    ]
 
 
-def rows_to_bits(paulis: Sequence[PauliOperator], n: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.zeros((len(paulis), n), dtype=np.uint8)
-    zs = np.zeros((len(paulis), n), dtype=np.uint8)
-    for i, p in enumerate(paulis):
-        for k in range(n):
-            xs[i, k] = (p.x >> k) & 1
-            zs[i, k] = (p.z >> k) & 1
-    return xs, zs
+def _transpose(words: list[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit k of ``words[i]`` becomes bit i of entry k.
+
+    Each word is written as a fixed-width binary string, last word
+    first, so one strided slice of the joined text is one column.
+    """
+    spec = f"0{width}b"
+    bits = "".join(format(w, spec) for w in reversed(words))
+    return [int(bits[j::width], 2) for j in reversed(range(width))]
 
 
-def bits_to_pauli(xrow: np.ndarray, zrow: np.ndarray) -> PauliOperator:
+def permute_pauli(p: PauliOperator, perm: Sequence[int]) -> PauliOperator:
+    """Move qubit ``perm[k]`` to position ``k``."""
     x = z = 0
-    for k in range(xrow.shape[0]):
-        x |= int(xrow[k]) << k
-        z |= int(zrow[k]) << k
-    return PauliOperator(xrow.shape[0], x, z, 0)
+    for new, old in enumerate(perm):
+        x |= ((p.x >> old) & 1) << new
+        z |= ((p.z >> old) & 1) << new
+    return PauliOperator(p.n, x, z, p.phase)
 
 
 # -- truth-table rows --------------------------------------------------------
@@ -250,5 +268,5 @@ def row_superpose(r1: TableRow, r2: TableRow) -> FormalSuperposition:
     """Formal superposition ``(r1 + r2)/sqrt(2)``; equal rows collapse."""
     if r1 == r2:
         return FormalSuperposition(((1.0, r1),))
-    w = 1.0 / np.sqrt(2.0)
+    w = 1.0 / math.sqrt(2.0)
     return FormalSuperposition(((w, r1), (w, r2)))

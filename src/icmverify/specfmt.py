@@ -1,9 +1,9 @@
 """Specification tuples (ST, I, O) and their ``spec v1`` text format.
 
 Table columns follow the roster order: io qubits first (io-line order),
-then ancillae (init-line order).  ``derive_specification`` permutes the
-circuit's declaration-order table into that convention so that a spec
-file stands alone without the source circuit.
+then ancillae (init-line order).  ``derive_specification`` derives the
+table directly in roster columns, so that a spec file stands alone
+without the source circuit.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from .circuit import (
     BASES,
     IcmCircuit,
     MeasurementRule,
+    _parse_measure,
     validate_icm,
 )
-from .pauli import PauliOperator, TableRow, row_parse
+from .pauli import TableRow, permute_pauli, row_parse
 from .table import StabiliserTruthTable, derive_truth_table
 
 
@@ -68,20 +69,12 @@ class Specification:
         return self.io_ids + self.ancilla_order
 
 
-def _permute_pauli(p: PauliOperator, perm: list[int]) -> PauliOperator:
-    """perm[new_position] = old_position."""
-    x = z = 0
-    for new, old in enumerate(perm):
-        x |= ((p.x >> old) & 1) << new
-        z |= ((p.z >> old) & 1) << new
-    return PauliOperator(p.n, x, z, p.phase)
-
-
 def permute_table(
     t: StabiliserTruthTable, perm: list[int]
 ) -> StabiliserTruthTable:
+    """Move column ``perm[k]`` of every row to column ``k``."""
     rows = tuple(
-        TableRow(_permute_pauli(r.input, perm), _permute_pauli(r.output, perm),
+        TableRow(permute_pauli(r.input, perm), permute_pauli(r.output, perm),
                  r.sign, r.provenance)
         for r in t.rows
     )
@@ -96,9 +89,7 @@ def derive_specification(c: IcmCircuit) -> Specification:
         )
     io = list(c.io_ids())
     anc = [q.id for q in c.qubits if q.kind != "io"]
-    roster = io + anc
-    perm = [c.index(qid) for qid in roster]
-    table = permute_table(derive_truth_table(c), perm)
+    table = derive_truth_table(c, io + anc)
     inits = {q.id: q.init for q in c.qubits if q.kind != "io"}
     anc_set = set(anc)
     rules = tuple(
@@ -120,28 +111,6 @@ def serialize_spec(s: Specification) -> str:
     for rule in s.rules:
         out.append(rule.format())
     return "\n".join(out) + "\n"
-
-
-def _parse_rule(parts: list[str], line: int) -> MeasurementRule:
-    def basis(tok: str) -> str:
-        if tok not in BASES:
-            raise SpecParseError(f"unknown basis {tok!r}", line)
-        return tok
-
-    if len(parts) == 3:
-        return MeasurementRule(parts[1], basis(parts[2]))
-    if (
-        len(parts) == 9
-        and parts[3] == "?"
-        and parts[6] == ":"
-        and parts[4] == parts[7]
-    ):
-        return MeasurementRule(
-            parts[1], basis(parts[2]), parts[4], basis(parts[5]), basis(parts[8])
-        )
-    raise SpecParseError(
-        "expected 'measure q B' or 'measure q1 B1 ? q2 B2 : q2 B3'", line
-    )
 
 
 def parse_spec(text: str) -> Specification:
@@ -198,7 +167,10 @@ def parse_spec(text: str) -> Specification:
                 raise SpecParseError("duplicate table block", lineno)
             in_table = saw_table = True
         elif kw == "measure":
-            rules.append(_parse_rule(parts, lineno))
+            # ids are checked against the roster once the spec is built
+            rules.append(
+                _parse_measure(parts, lineno, lambda qid, _ln: qid, SpecParseError)
+            )
         else:
             raise SpecParseError(f"unknown directive {kw!r}", lineno)
 

@@ -18,17 +18,10 @@ CNOT conjugation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .circuit import IcmCircuit, ROTATED_BASES
-from .pauli import (
-    PauliOperator,
-    TableRow,
-    conjugate_rows_batch,
-    bits_to_pauli,
-    row_multiply,
-)
+from .pauli import PauliOperator, TableRow, conjugate_paulis, row_multiply
 
 
 @dataclass(frozen=True)
@@ -75,40 +68,38 @@ def seed_rows(c: IcmCircuit) -> list[tuple[int, str, str, str]]:
     return seeds
 
 
-def derive_truth_table(c: IcmCircuit) -> StabiliserTruthTable:
-    """Conjugate every seed through the CNOT region (word-parallel)."""
-    seeds = seed_rows(c)
+def derive_truth_table(
+    c: IcmCircuit, columns: Sequence[str] | None = None
+) -> StabiliserTruthTable:
+    """Conjugate every seed through the CNOT region, all rows at once.
+
+    Rows follow ``seed_rows``.  ``columns`` lists the qubit ids in
+    column order; it defaults to declaration order.
+    """
     n = c.n
-    r = len(seeds)
-    xs = np.zeros((r, n), dtype=np.uint8)
-    zs = np.zeros((r, n), dtype=np.uint8)
-    inputs: list[PauliOperator] = []
-    for row_i, (qi, _qid, basis, _kind) in enumerate(seeds):
-        if basis == "X":
-            xs[row_i, qi] = 1
-            inputs.append(PauliOperator(n, 1 << qi, 0))
-        else:
-            zs[row_i, qi] = 1
-            inputs.append(PauliOperator(n, 0, 1 << qi))
-    signs = np.zeros(r, dtype=np.uint8)
-    conjugate_rows_batch(xs, zs, signs, c.cnot_indices())
-    if signs.any():  # pragma: no cover - impossible for pure-type seeds
-        raise AssertionError("single-type seed picked up a sign under CNOT conjugation")
+    if columns is None:
+        columns = [q.id for q in c.qubits]
+    col = {qid: k for k, qid in enumerate(columns)}
+    pos = [col[q.id] for q in c.qubits]  # declaration index -> column
+    seeds = seed_rows(c)
+    inputs = [
+        PauliOperator(n, 1 << pos[qi], 0) if basis == "X"
+        else PauliOperator(n, 0, 1 << pos[qi])
+        for qi, _qid, basis, _kind in seeds
+    ]
+    outputs = conjugate_paulis(inputs, [(pos[a], pos[b]) for a, b in c.cnot_indices()])
+    # TableRow rejects a phased output: single-type seeds pick up no sign
     rows = tuple(
-        TableRow(inputs[i], bits_to_pauli(xs[i], zs[i]), 1,
-                 provenance=(seeds[i][1], seeds[i][2]))
-        for i in range(r)
+        TableRow(p, q, 1, provenance=(qid, basis))
+        for (_qi, qid, basis, _kind), p, q in zip(seeds, inputs, outputs)
     )
     return StabiliserTruthTable(n, rows)
 
 
 def _row_key(row: TableRow, n: int) -> int:
-    """4n-bit word: input x|z then output x|z, qubit 0 most significant."""
-    key = 0
-    for value in (row.input.x, row.input.z, row.output.x, row.output.z):
-        for k in range(n):
-            key = (key << 1) | ((value >> k) & 1)
-    return key
+    """4n-bit word: input x, input z, output x, output z from bit 0 up."""
+    return (row.input.x | row.input.z << n
+            | row.output.x << 2 * n | row.output.z << 3 * n)
 
 
 def canonicalize_table(t: StabiliserTruthTable) -> StabiliserTruthTable:
@@ -117,24 +108,25 @@ def canonicalize_table(t: StabiliserTruthTable) -> StabiliserTruthTable:
     Rows are eliminated with ``row_multiply`` under a leftmost-pivot
     rule, then sorted by pivot position.  The result is a canonical
     representative of the row span, so tables agree exactly when their
-    spans (including signs) agree.
+    spans (including signs) agree.  A row's pivot is the lowest set bit
+    of its ``_row_key``: the leftmost letter of the input x part, then
+    of the input z, output x and output z parts.
     """
     n = t.n
-    width = 4 * n
     work: list[tuple[int, TableRow]] = [(_row_key(r, n), r) for r in t.rows]
     pivots: dict[int, tuple[int, TableRow]] = {}  # pivot bit position -> row
     trivial: list[TableRow] = []
 
     for key, row in work:
         while key:
-            lead = width - key.bit_length()  # leftmost set bit position
+            lead = (key & -key).bit_length() - 1
             if lead not in pivots:
                 break
             pkey, prow = pivots[lead]
             key ^= pkey
             row = row_multiply(row, prow)
         if key:
-            pivots[width - key.bit_length()] = (key, row)
+            pivots[lead] = (key, row)
         elif row.sign == -1:
             # contradictory span: keep a -identity marker row
             trivial.append(row)
@@ -146,7 +138,7 @@ def canonicalize_table(t: StabiliserTruthTable) -> StabiliserTruthTable:
         key, row = pivots[lead]
         for j in range(i):
             kj, rj = pivots[order[j]]
-            if (kj >> (width - 1 - lead)) & 1:
+            if (kj >> lead) & 1:
                 pivots[order[j]] = (kj ^ key, row_multiply(rj, row))
 
     rows = [pivots[lead][1] for lead in sorted(pivots)]

@@ -16,17 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circuit import IcmCircuit, validate_icm
-from .pauli import (
-    PauliOperator,
-    TableRow,
-    bits_to_pauli,
-    conjugate_rows_batch,
-    pauli_format,
-    rows_to_bits,
-)
+from .pauli import PauliOperator, TableRow, conjugate_paulis, pauli_format
 from .specfmt import Specification, permute_table
 from .table import table_equal
 
@@ -124,21 +115,13 @@ def verify(candidate: IcmCircuit, spec: Specification) -> VerificationReport:
             )
     report.init_ok = not report.init_mismatches
 
-    # criterion 2: table rows, re-indexed into the candidate's column order
-    perm = [spec.roster().index(q.id) for q in candidate.qubits]
-    cnots = candidate.cnot_indices()
-    local = permute_table(spec.table, perm)
-    back = [candidate.index(qid) for qid in spec.roster()]
-    xs, zs = rows_to_bits([row.input for row in local.rows], candidate.n)
-    flips = np.zeros(len(local.rows), dtype=np.uint8)
-    conjugate_rows_batch(xs, zs, flips, cnots)
-    for i, spec_row in enumerate(spec.table.rows):
-        out = bits_to_pauli(xs[i], zs[i])
-        sign = 1 if flips[i] == 0 else -1
-        out_spec_cols = _permute(out, back)
-        report.row_checks.append(
-            RowCheck(spec_row, out_spec_cols.canonical(), sign)
-        )
+    # criterion 2: the candidate's CNOTs, re-indexed into spec columns
+    col = {qid: k for k, qid in enumerate(spec.roster())}
+    cnots = [(col[c], col[t]) for c, t in candidate.cnots]
+    outs = conjugate_paulis([row.input for row in spec.table.rows], cnots)
+    for spec_row, out in zip(spec.table.rows, outs):
+        sign = -1 if out.phase == 2 else 1
+        report.row_checks.append(RowCheck(spec_row, out.canonical(), sign))
     report.table_ok = all(rc.passed for rc in report.row_checks)
 
     # criterion 3: measurement rules, order-sensitive
@@ -154,14 +137,6 @@ def verify(candidate: IcmCircuit, spec: Specification) -> VerificationReport:
             (i for i in range(limit) if cand_rules[i] != spec.rules[i]), limit
         )
     return report
-
-
-def _permute(p: PauliOperator, perm: list[int]) -> PauliOperator:
-    x = z = 0
-    for new, old in enumerate(perm):
-        x |= ((p.x >> old) & 1) << new
-        z |= ((p.z >> old) & 1) << new
-    return PauliOperator(p.n, x, z, p.phase)
 
 
 @dataclass

@@ -269,16 +269,15 @@ def test_criterion_6_demote_requires_a_rotated_measurement():
 # --- 7: derivation and verification scale to large circuits ---------------------
 
 
-def test_criterion_7_large_circuit_performance():
-    rng = random.Random(77)
-    n_io, n_anc = 100, 400
+def _criterion_7_case(seed: int, n_io: int, n_anc: int, n_cnots: int) -> float:
+    rng = random.Random(seed)
     qubits = [QubitDecl(f"q{i}", "io") for i in range(n_io)]
     rules = []
     for j in range(n_anc):
         qubits.append(QubitDecl(f"a{j}", "teleport", rng.choice("XZ")))
         rules.append(MeasurementRule(f"a{j}", rng.choice("XZ")))
     ids = [q.id for q in qubits]
-    cnots = tuple(tuple(rng.sample(ids, 2)) for _ in range(5000))
+    cnots = tuple(tuple(rng.sample(ids, 2)) for _ in range(n_cnots))
     c = IcmCircuit(tuple(qubits), cnots, tuple(rules))
     assert not validate_icm(c)
 
@@ -289,7 +288,15 @@ def test_criterion_7_large_circuit_performance():
 
     assert report.overall
     assert len(spec.table.rows) == 2 * n_io + n_anc
-    assert elapsed < 5.0
+    return elapsed
+
+
+def test_criterion_7_large_circuit_performance():
+    assert _criterion_7_case(77, 100, 400, 5000) < 5.0
+
+
+def test_criterion_7_4000_qubits_20k_cnots():
+    assert _criterion_7_case(4000, 800, 3200, 20000) < 10.0
 
 
 # --- 8: sampling spot-checks catch what they can see -----------------------------

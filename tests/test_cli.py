@@ -93,6 +93,14 @@ def test_spec_diff_different(capsys, tmp_path, t_spec_file):
     assert "different" in capsys.readouterr().out
 
 
+def test_spec_diff_bad_rule_exit_code(capsys, tmp_path, t_spec_file):
+    text = open(t_spec_file).read()
+    bad = tmp_path / "bad.spec"
+    bad.write_text(text.replace("? q3 X : q3 Y", "? q2 X : q2 Y"))
+    assert main(["spec-diff", str(bad), t_spec_file]) == 2
+    assert "line 12" in capsys.readouterr().err
+
+
 # --- equiv -------------------------------------------------------------------
 
 

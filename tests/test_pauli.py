@@ -12,13 +12,7 @@ from icmverify import (
     row_multiply,
     row_superpose,
 )
-from icmverify.pauli import (
-    TableRow,
-    bits_to_pauli,
-    conjugate_rows_batch,
-    row_parse,
-    rows_to_bits,
-)
+from icmverify.pauli import TableRow, conjugate_paulis, permute_pauli, row_parse
 
 
 @pytest.mark.parametrize(
@@ -139,13 +133,20 @@ def test_batch_matches_scalar():
         PauliOperator(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
         for _ in range(16)
     ]
-    xs, zs = rows_to_bits(ops, n)
-    signs = np.zeros(len(ops), dtype=np.uint8)
-    conjugate_rows_batch(xs, zs, signs, cnots)
-    for i, p in enumerate(ops):
-        q = conjugate_circuit(p, cnots)
-        assert bits_to_pauli(xs[i], zs[i]) == q.canonical()
-        assert signs[i] == (q.phase % 4) // 2
+    assert conjugate_paulis(ops, cnots) == [conjugate_circuit(p, cnots) for p in ops]
+
+
+def test_batch_keeps_input_phase_and_rejects_mixed_sizes():
+    ops = [pauli_parse("-XI"), pauli_parse("iYZ")]
+    assert conjugate_paulis(ops, [(0, 1)]) == [conjugate_circuit(p, [(0, 1)]) for p in ops]
+    assert conjugate_paulis([], [(0, 1)]) == []
+    with pytest.raises(PauliError):
+        conjugate_paulis([pauli_parse("X"), pauli_parse("XI")], [])
+
+
+def test_permute_pauli_moves_columns():
+    p = pauli_parse("-XYZ")
+    assert pauli_format(permute_pauli(p, [2, 0, 1])) == "-ZXY"
 
 
 def test_row_parse_and_format():

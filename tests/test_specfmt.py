@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from icmverify import (
@@ -6,12 +8,14 @@ from icmverify import (
     QubitDecl,
     SpecParseError,
     derive_specification,
+    derive_truth_table,
     parse_circuit,
     parse_spec,
     serialize_spec,
 )
+from icmverify.specfmt import permute_table
 
-from conftest import load_fixture
+from conftest import load_fixture, random_circuit
 
 
 def test_derive_t_spec(t_circuit):
@@ -55,6 +59,21 @@ measure a Y
     formatted = [r.format() for r in s.table.rows]
     assert "+ XI -> XX" in formatted  # X on w (column 0) spreads to a
     assert "+ IZ -> ZZ" in formatted  # Z seed on a sits in column 1
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_spec_table_is_the_declaration_table_in_roster_columns(seed):
+    rng = random.Random(seed)
+    c = random_circuit(rng, max_io=4, max_anc=6, max_cnots=30)
+    ancillae = [q for q in c.qubits if q.kind != "io"]
+    rng.shuffle(ancillae)
+    c = IcmCircuit(
+        tuple(ancillae) + tuple(q for q in c.qubits if q.kind == "io"), c.cnots, c.rules
+    )
+    spec = derive_specification(c)
+    want = permute_table(derive_truth_table(c), [c.index(q) for q in spec.roster()])
+    assert spec.table.rows == want.rows
+    assert [r.provenance for r in spec.table.rows] == [r.provenance for r in want.rows]
 
 
 def test_io_rules_not_in_o():
@@ -105,6 +124,25 @@ def test_parse_spec_reports_line():
     with pytest.raises(SpecParseError) as exc:
         parse_spec(bad)
     assert exc.value.line is not None
+
+
+SELF_CONDITIONED = """spec v1
+qubits 2
+io w
+init a Z
+table
++ XI -> XX
++ ZI -> ZI
+end
+measure a X ? a Z : a X
+"""
+
+
+def test_parse_spec_reports_a_self_conditioned_rule_with_its_line():
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(SELF_CONDITIONED)
+    assert exc.value.line == 9
+    assert "line 9" in str(exc.value) and "itself" in str(exc.value)
 
 
 def test_spec_invariant_rules_reference_ancillae():

@@ -109,6 +109,27 @@ def test_table_equal_respects_span_size():
     assert not table_equal(b, a)
 
 
+def test_canonicalize_golden_form():
+    """Needs eliminations, a dependent row and back-substitution."""
+    t = _tab(3, [
+        "+ XXI -> XIX",
+        "+ ZII -> IIZ",
+        "+ ZXI -> XXZ",
+        "+ IZZ -> ZII",
+        "+ IZY -> YII",
+        "- IIZ -> ZZZ",
+        "+ YXI -> XIY",
+    ])
+    assert canonicalize_table(t).format().splitlines() == [
+        "+ XII -> IXX",
+        "+ IXI -> XXI",
+        "+ IIX -> XII",
+        "+ ZII -> IIZ",
+        "- IZI -> IZZ",
+        "- IIZ -> ZZZ",
+    ]
+
+
 def test_canonicalize_idempotent():
     rng = random.Random(3)
     for _ in range(10):

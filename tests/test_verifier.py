@@ -49,6 +49,25 @@ def _with(c, **kw):
                       fields["outputs"])
 
 
+def test_reordered_declarations_fail_on_the_same_rows():
+    rng = random.Random(21)
+    for _ in range(24):
+        c = random_circuit(rng, max_cnots=20)
+        if c.n < 2:
+            continue
+        spec = derive_specification(c)
+        mutant = _with(c, cnots=c.cnots + (tuple(rng.sample([q.id for q in c.qubits], 2)),))
+        qubits = list(mutant.qubits)
+        rng.shuffle(qubits)
+        plain = verify(mutant, spec)
+        reordered = verify(_with(mutant, qubits=tuple(qubits)), spec)
+        assert [(rc.actual, rc.actual_sign) for rc in reordered.row_checks] == [
+            (rc.actual, rc.actual_sign) for rc in plain.row_checks
+        ]
+        assert not plain.table_ok
+        assert reordered.format() == plain.format()
+
+
 def test_flipped_cnot_fails_criterion2(t_circuit, t_spec):
     mutant = _with(t_circuit, cnots=(("q2", "q1"), ("q2", "q3")))
     report = verify(mutant, t_spec)
