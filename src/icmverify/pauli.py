@@ -12,6 +12,14 @@ per qubit (bit i belongs to operator i), so that each CNOT costs a few
 big-int operations however many operators there are.  The operators
 are transposed back only when the region is done.
 
+The text codec works on whole bit-masks, not single letters:
+``pauli_format`` writes ``x`` and ``z`` as binary digits, adds them as
+one byte per qubit and maps the bytes to letters with one
+``bytes.translate``; ``pauli_parse`` validates the letters in one pass
+and reads ``x`` and ``z`` back with one base-2 ``int`` each.  Only
+base-2 and byte conversions are used, so no decimal digit limit
+applies however many qubits there are.
+
 Truth-table rows pair a canonical (phase-free) input operator with an
 output operator and a +-1 sign; the sign is the phase quotient picked
 up between output product and input product when rows are multiplied.
@@ -27,6 +35,10 @@ _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+# a byte 3*ord("0") + x + 2z, from the digits of x and z, names its letter
+_CODE_LETTER = bytes.maketrans(b"\x90\x91\x92\x93", b"IXZY")
 
 
 class PauliError(ValueError):
@@ -85,19 +97,27 @@ def pauli_parse(text: str, n: int | None = None) -> PauliOperator:
         raise PauliError(f"empty Pauli string in {text!r}")
     if n is not None and len(s) != n:
         raise PauliError(f"expected {n} letters, got {len(s)} in {text!r}")
-    x = z = 0
-    for k, ch in enumerate(s):
-        if ch not in _LETTER_BITS:
-            raise PauliError(f"bad Pauli letter {ch!r} at column {k + 1} of {text!r}")
-        xb, zb = _LETTER_BITS[ch]
-        x |= xb << k
-        z |= zb << k
-    return PauliOperator(len(s), x, z, phase)
+    if not s.isascii() or s.encode().translate(None, b"IXYZ"):
+        for k, ch in enumerate(s):
+            if ch not in _LETTER_BITS:
+                raise PauliError(f"bad Pauli letter {ch!r} at column {k + 1} of {text!r}")
+    # qubit 0 is the leftmost letter and the lowest bit
+    s = s[::-1]
+    return PauliOperator(
+        len(s), int(s.translate(_X_DIGITS), 2), int(s.translate(_Z_DIGITS), 2), phase
+    )
 
 
 def pauli_format(p: PauliOperator) -> str:
     """Render an operator as letters with an ``i``/``-``/``-i`` prefix."""
-    return _PHASE_PREFIX[p.phase] + "".join(p.letter(k) for k in range(p.n))
+    n = p.n
+    spec = f"0{n}b"
+    # one ASCII digit per qubit, qubit k in byte k; a byte of x + 2z is
+    # at most 0x93, so none carries into the next
+    x = int.from_bytes(format(p.x, spec).encode(), "big")
+    z = int.from_bytes(format(p.z, spec).encode(), "big")
+    letters = (x + 2 * z).to_bytes(n, "little").translate(_CODE_LETTER)
+    return _PHASE_PREFIX[p.phase] + letters.decode()
 
 
 def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -170,15 +190,6 @@ def _transpose(words: list[int], width: int) -> list[int]:
     spec = f"0{width}b"
     bits = "".join(format(w, spec) for w in reversed(words))
     return [int(bits[j::width], 2) for j in reversed(range(width))]
-
-
-def permute_pauli(p: PauliOperator, perm: Sequence[int]) -> PauliOperator:
-    """Move qubit ``perm[k]`` to position ``k``."""
-    x = z = 0
-    for new, old in enumerate(perm):
-        x |= ((p.x >> old) & 1) << new
-        z |= ((p.z >> old) & 1) << new
-    return PauliOperator(p.n, x, z, p.phase)
 
 
 # -- truth-table rows --------------------------------------------------------

@@ -17,7 +17,7 @@ from .circuit import (
     _parse_measure,
     validate_icm,
 )
-from .pauli import TableRow, permute_pauli, row_parse
+from .pauli import PauliOperator, TableRow, _transpose, row_parse
 from .table import StabiliserTruthTable, derive_truth_table
 
 
@@ -72,13 +72,30 @@ class Specification:
 def permute_table(
     t: StabiliserTruthTable, perm: list[int]
 ) -> StabiliserTruthTable:
-    """Move column ``perm[k]`` of every row to column ``k``."""
-    rows = tuple(
-        TableRow(permute_pauli(r.input, perm), permute_pauli(r.output, perm),
-                 r.sign, r.provenance)
-        for r in t.rows
-    )
-    return StabiliserTruthTable(t.n, rows)
+    """Move column ``perm[k]`` of every row to column ``k``.
+
+    Each of the four bit columns of the rows (input x and z, output x
+    and z) is transposed once into one bitset per qubit; that list is
+    reordered by ``perm`` and transposed back into rows.  The identity
+    permutation returns ``t`` itself.
+    """
+    n, rows = t.n, t.rows
+    if not rows or list(perm) == list(range(n)):
+        return t
+    r = len(rows)
+
+    def moved(words: list[int]) -> list[int]:
+        cols = _transpose(words, n)
+        return _transpose([cols[k] for k in perm], r)
+
+    ix = moved([row.input.x for row in rows])
+    iz = moved([row.input.z for row in rows])
+    ox = moved([row.output.x for row in rows])
+    oz = moved([row.output.z for row in rows])
+    return StabiliserTruthTable(n, tuple(
+        TableRow(PauliOperator(n, a, b), PauliOperator(n, c, d), row.sign, row.provenance)
+        for row, a, b, c, d in zip(rows, ix, iz, ox, oz)
+    ))
 
 
 def derive_specification(c: IcmCircuit) -> Specification:

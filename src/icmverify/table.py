@@ -111,6 +111,12 @@ def canonicalize_table(t: StabiliserTruthTable) -> StabiliserTruthTable:
     spans (including signs) agree.  A row's pivot is the lowest set bit
     of its ``_row_key``: the leftmost letter of the input x part, then
     of the input z, output x and output z parts.
+
+    Back-substitution finishes the rows in descending pivot order.  A
+    row is multiplied by the finished row of each other pivot bit it
+    holds, highest bit first; a finished row holds no pivot bit but its
+    own, so each product clears one bit and sets none, and the work is
+    one product per set pivot bit rather than a test per pair of rows.
     """
     n = t.n
     work: list[tuple[int, TableRow]] = [(_row_key(r, n), r) for r in t.rows]
@@ -132,14 +138,14 @@ def canonicalize_table(t: StabiliserTruthTable) -> StabiliserTruthTable:
             trivial.append(row)
 
     # back-substitute so every pivot column is cleared elsewhere
-    order = sorted(pivots)
-    for i in reversed(range(len(order))):
-        lead = order[i]
+    pivmask = sum(1 << lead for lead in pivots)
+    for lead in sorted(pivots, reverse=True):
         key, row = pivots[lead]
-        for j in range(i):
-            kj, rj = pivots[order[j]]
-            if (kj >> lead) & 1:
-                pivots[order[j]] = (kj ^ key, row_multiply(rj, row))
+        while others := (key & pivmask) ^ (1 << lead):
+            pkey, prow = pivots[others.bit_length() - 1]
+            key ^= pkey
+            row = row_multiply(row, prow)
+        pivots[lead] = (key, row)
 
     rows = [pivots[lead][1] for lead in sorted(pivots)]
     rows.extend(trivial[:1])

@@ -162,7 +162,8 @@ def spec_diff(a: Specification, b: Specification) -> SpecDiff:
         msgs.append(f"init sets differ: {only_a} vs {only_b}")
     if not msgs:  # tables only comparable on a shared roster
         # align b's columns to a's roster before span comparison
-        perm = [b.roster().index(qid) for qid in a.roster()]
+        b_col = {qid: k for k, qid in enumerate(b.roster())}
+        perm = [b_col[qid] for qid in a.roster()]
         bt = permute_table(b.table, perm)
         if not table_equal(a.table, bt):
             msgs.append("truth tables span different groups")

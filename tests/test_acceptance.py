@@ -26,10 +26,13 @@ from icmverify import (
     dual_rewrite,
     fit_frames,
     oracle_truth_table,
+    parse_spec,
     pauli_format,
     row_multiply,
     row_superpose,
     sample_verify,
+    serialize_spec,
+    spec_diff,
     table_equal,
     validate_icm,
     verify,
@@ -269,7 +272,7 @@ def test_criterion_6_demote_requires_a_rotated_measurement():
 # --- 7: derivation and verification scale to large circuits ---------------------
 
 
-def _criterion_7_case(seed: int, n_io: int, n_anc: int, n_cnots: int) -> float:
+def _criterion_7_circuit(seed: int, n_io: int, n_anc: int, n_cnots: int) -> IcmCircuit:
     rng = random.Random(seed)
     qubits = [QubitDecl(f"q{i}", "io") for i in range(n_io)]
     rules = []
@@ -280,7 +283,11 @@ def _criterion_7_case(seed: int, n_io: int, n_anc: int, n_cnots: int) -> float:
     cnots = tuple(tuple(rng.sample(ids, 2)) for _ in range(n_cnots))
     c = IcmCircuit(tuple(qubits), cnots, tuple(rules))
     assert not validate_icm(c)
+    return c
 
+
+def _criterion_7_case(seed: int, n_io: int, n_anc: int, n_cnots: int) -> float:
+    c = _criterion_7_circuit(seed, n_io, n_anc, n_cnots)
     t0 = time.perf_counter()
     spec = derive_specification(c)
     report = verify(c, spec)
@@ -297,6 +304,19 @@ def test_criterion_7_large_circuit_performance():
 
 def test_criterion_7_4000_qubits_20k_cnots():
     assert _criterion_7_case(4000, 800, 3200, 20000) < 10.0
+
+
+def test_criterion_7_4000_qubit_spec_text_round_trip():
+    spec = derive_specification(_criterion_7_circuit(4000, 800, 3200, 20000))
+    t0 = time.perf_counter()
+    text = serialize_spec(spec)
+    parsed = parse_spec(text)
+    diff = spec_diff(spec, parsed)
+    elapsed = time.perf_counter() - t0
+
+    assert serialize_spec(parsed) == text
+    assert diff.format() == "equal"
+    assert elapsed < 10.0
 
 
 # --- 8: sampling spot-checks catch what they can see -----------------------------

@@ -12,7 +12,7 @@ from icmverify import (
     row_multiply,
     row_superpose,
 )
-from icmverify.pauli import TableRow, conjugate_paulis, permute_pauli, row_parse
+from icmverify.pauli import TableRow, conjugate_paulis, row_parse
 
 
 @pytest.mark.parametrize(
@@ -142,11 +142,6 @@ def test_batch_keeps_input_phase_and_rejects_mixed_sizes():
     assert conjugate_paulis([], [(0, 1)]) == []
     with pytest.raises(PauliError):
         conjugate_paulis([pauli_parse("X"), pauli_parse("XI")], [])
-
-
-def test_permute_pauli_moves_columns():
-    p = pauli_parse("-XYZ")
-    assert pauli_format(permute_pauli(p, [2, 0, 1])) == "-ZXY"
 
 
 def test_row_parse_and_format():

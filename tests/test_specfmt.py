@@ -12,8 +12,11 @@ from icmverify import (
     parse_circuit,
     parse_spec,
     serialize_spec,
+    spec_diff,
 )
+from icmverify.pauli import row_parse
 from icmverify.specfmt import permute_table
+from icmverify.table import StabiliserTruthTable
 
 from conftest import load_fixture, random_circuit
 
@@ -74,6 +77,27 @@ def test_spec_table_is_the_declaration_table_in_roster_columns(seed):
     want = permute_table(derive_truth_table(c), [c.index(q) for q in spec.roster()])
     assert spec.table.rows == want.rows
     assert [r.provenance for r in spec.table.rows] == [r.provenance for r in want.rows]
+
+
+def test_permute_table_moves_columns():
+    t = StabiliserTruthTable(3, (row_parse("- XYZ -> ZZX"), row_parse("+ IIZ -> IYI")))
+    moved = permute_table(t, [2, 0, 1])
+    assert moved.format() == "- ZXY -> XZZ\n+ ZII -> IIY"
+    assert permute_table(t, [0, 1, 2]) is t
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_spec_text_is_stable_through_parse_and_serialize(seed):
+    """derive -> serialize -> parse -> serialize, declarations shuffled."""
+    rng = random.Random(1000 + seed)
+    c = random_circuit(rng, max_io=6, max_anc=10, max_cnots=60)
+    qubits = list(c.qubits)
+    rng.shuffle(qubits)
+    spec = derive_specification(IcmCircuit(tuple(qubits), c.cnots, c.rules))
+    text = serialize_spec(spec)
+    parsed = parse_spec(text)
+    assert serialize_spec(parsed) == text
+    assert spec_diff(spec, parsed).equal
 
 
 def test_io_rules_not_in_o():

@@ -130,6 +130,17 @@ def test_canonicalize_golden_form():
     ]
 
 
+def test_back_substitution_takes_the_highest_pivot_bit_first():
+    """Rows whose products depend on their order: taking the lowest
+    pivot bit first meets an imaginary relative phase and raises."""
+    t = _tab(3, ["- ZIX -> IXY", "+ YYY -> YYY", "+ IIZ -> IXI"])
+    assert canonicalize_table(t).format().splitlines() == [
+        "+ XYI -> YYI",
+        "- ZIX -> IXY",
+        "+ IIZ -> IXI",
+    ]
+
+
 def test_canonicalize_idempotent():
     rng = random.Random(3)
     for _ in range(10):

@@ -1,0 +1,137 @@
+"""Property tests of the bulk Pauli text codec and the transposed column permute.
+
+The per-letter loops below are the reference implementations the bulk
+versions replaced; the bulk versions must agree with them exactly.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from icmverify import (
+    PauliError,
+    PauliOperator,
+    SpecParseError,
+    derive_specification,
+    parse_spec,
+    pauli_format,
+    pauli_parse,
+    serialize_spec,
+)
+from icmverify.pauli import TableRow, row_parse
+from icmverify.specfmt import permute_table
+from icmverify.table import StabiliserTruthTable
+
+from conftest import load_fixture
+
+LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
+
+
+def ref_format(p: PauliOperator) -> str:
+    return PREFIX[p.phase] + "".join(
+        LETTERS[(p.x >> k) & 1, (p.z >> k) & 1] for k in range(p.n)
+    )
+
+
+def ref_permute(p: PauliOperator, perm: list[int]) -> PauliOperator:
+    x = z = 0
+    for new, old in enumerate(perm):
+        x |= ((p.x >> old) & 1) << new
+        z |= ((p.z >> old) & 1) << new
+    return PauliOperator(p.n, x, z, p.phase)
+
+
+@st.composite
+def paulis(draw, n=None, phases=(0, 1, 2, 3)):
+    if n is None:
+        n = draw(st.integers(1, 700))
+    bits = st.integers(0, (1 << n) - 1)
+    return PauliOperator(n, draw(bits), draw(bits), draw(st.sampled_from(phases)))
+
+
+def rows(n):
+    canonical = paulis(n=n, phases=(0,))
+    return st.builds(TableRow, canonical, canonical, st.sampled_from((1, -1)))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 80))
+    return StabiliserTruthTable(n, tuple(draw(st.lists(rows(n), max_size=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(paulis())
+@example(PauliOperator(7, 0b1010101, 0b0110011, 3))
+@example(PauliOperator(8, 0b10000001, 0b11111111, 1))
+@example(PauliOperator(9, 0, 0b100000000, 2))
+@example(PauliOperator(64, (1 << 64) - 1, 1 << 63, 0))
+@example(PauliOperator(65, 1 << 64, (1 << 65) - 1, 2))
+def test_format_matches_letters_and_parses_back(p):
+    text = pauli_format(p)
+    assert text == ref_format(p)
+    assert pauli_parse(text) == p
+    assert pauli_parse(text, p.n) == p
+
+
+def test_codec_is_exact_past_the_decimal_digit_limit():
+    rng = random.Random(5000)
+    n = 5000
+    p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), 3)
+    assert pauli_format(p) == ref_format(p)
+    assert pauli_parse(pauli_format(p)) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 700).flatmap(rows))
+def test_row_text_round_trips(row):
+    assert row_parse(row.format()) == row
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.randoms(use_true_random=False), st.booleans())
+def test_permute_table_matches_the_per_letter_permute(t, rnd, identity):
+    perm = list(range(t.n))
+    if not identity:
+        rnd.shuffle(perm)
+    got = permute_table(t, perm)
+    assert got.n == t.n
+    assert got.rows == tuple(
+        TableRow(ref_permute(r.input, perm), ref_permute(r.output, perm), r.sign)
+        for r in t.rows
+    )
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ("XQZ", None, "bad Pauli letter 'Q' at column 2 of 'XQZ'"),
+        ("-iXZYQ", None, "bad Pauli letter 'Q' at column 4 of '-iXZYQ'"),
+        ("+ X Yx", None, "bad Pauli letter 'x' at column 3 of '+ X Yx'"),
+        ("X_X", None, "bad Pauli letter '_' at column 2 of 'X_X'"),
+        ("XZ1", None, "bad Pauli letter '1' at column 3 of 'XZ1'"),
+        ("Xé", None, "bad Pauli letter 'é' at column 2 of 'Xé'"),
+        ("XX", 3, "expected 3 letters, got 2 in 'XX'"),
+        ("-iXQ", 3, "expected 3 letters, got 2 in '-iXQ'"),
+        ("", None, "empty Pauli string in ''"),
+        ("  ", 2, "empty Pauli string in '  '"),
+        ("-", None, "bad Pauli letter '-' at column 1 of '-'"),
+    ],
+)
+def test_parse_error_messages(text, n, message):
+    with pytest.raises(PauliError) as exc:
+        pauli_parse(text, n)
+    assert str(exc.value) == message
+
+
+def test_a_bad_row_in_a_spec_names_its_line_and_column():
+    lines = serialize_spec(derive_specification(load_fixture("t.icm"))).splitlines()
+    k = lines.index("+ IZI -> ZZI")
+    lines[k] = "+ IZI -> ZZQ"
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec("\n".join(lines))
+    assert exc.value.line == k + 1
+    assert str(exc.value) == f"line {k + 1}: bad Pauli letter 'Q' at column 3 of 'ZZQ'"
