@@ -58,7 +58,6 @@ from .compiler import (
 from .oracle import (
     OracleError,
     SizeCapError,
-    DenseState,
     run_branch,
     channel_choi,
     channels_equal,

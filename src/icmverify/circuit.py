@@ -10,9 +10,10 @@ otherwise in ``B3``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterator
 
 PLAIN_BASES = ("X", "Z")
 ROTATED_BASES = ("Y", "A")
@@ -120,6 +121,16 @@ class IcmCircuit:
 
     def measured_ids(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(q for r in self.rules for q in r.measured_qubits()))
+
+    def outcomes(self) -> Iterator[dict[str, int]]:
+        """Every assignment of an outcome bit (0 for +1) to ``measured_ids()``.
+
+        Assignments come in ``itertools.product`` order: the last measured
+        qubit varies fastest.
+        """
+        ids = self.measured_ids()
+        for bits in itertools.product((0, 1), repeat=len(ids)):
+            yield dict(zip(ids, bits))
 
     @cached_property
     def rotated_measured_ids(self) -> frozenset[str]:
@@ -311,6 +322,7 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
         if ctrl == tgt:
             out.append(Violation("cnot-self", f"cnot[{i}]", f"control equals target ({ctrl})"))
 
+    # each qubit is measured by at most one rule, as its q1 or as its q2
     seen_q1: dict[str, int] = {}
     conditioned: dict[str, int] = {}
     for i, r in enumerate(c.rules):
@@ -321,21 +333,21 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
             out.append(Violation(
                 "remeasured", r.q1,
                 f"qubit measured by rule {seen_q1[r.q1]} and again by rule {i}"))
+        elif r.q1 in conditioned:
+            out.append(Violation(
+                "remeasured", r.q1,
+                f"qubit conditioned by rule {conditioned[r.q1]} and measured again by rule {i}"))
         seen_q1[r.q1] = i
         if r.q2 is not None:
             if r.q2 in conditioned:
                 out.append(Violation(
                     "reconditioned", r.q2,
                     f"qubit conditioned by rules {conditioned[r.q2]} and {i}"))
+            if r.q2 in seen_q1:
+                out.append(Violation(
+                    "condition-order", r.q2,
+                    f"conditioned by rule {i} but measured by earlier rule {seen_q1[r.q2]}"))
             conditioned[r.q2] = i
-
-    # a conditioned qubit must be measured by a strictly later rule or not at all
-    for q2, i in conditioned.items():
-        j = seen_q1.get(q2)
-        if j is not None and j <= i:
-            out.append(Violation(
-                "condition-order", q2,
-                f"conditioned by rule {i} but measured by rule {j} (must be later)"))
 
     for q in c.qubits:
         if q.kind == "teleport" and teleport_rotation(c, q) == "both":

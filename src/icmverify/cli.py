@@ -168,11 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("sample-verify", help="verify, then spot-check rows by sampling")
+    p = sub.add_parser("sample-verify",
+                       help="verify, then check each row's exact expectation densely")
     p.add_argument("circuit")
     p.add_argument("spec")
-    p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--shots", type=int, default=100,
+                   help="0 skips the dense check (a vacuous pass); any positive count "
+                        "runs the same exact check")
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for old scripts; has no effect, the check is exact")
     p.set_defaults(func=_cmd_sample_verify)
 
     return ap

@@ -42,7 +42,6 @@ X-frame variable there raises CompileError.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .circuit import IcmCircuit, MeasurementRule, QubitDecl
@@ -134,14 +133,9 @@ class CompileResult:
 
     def frame_map(self) -> dict[frozenset, str]:
         """Outcome-keyed frame table in the shape channel_choi accepts."""
-        measured = list(self.circuit.measured_ids())
-        if len(measured) > 16:
+        if len(self.circuit.measured_ids()) > 16:
             raise CompileError("frame table too large to enumerate")
-        table = {}
-        for bits in itertools.product((0, 1), repeat=len(measured)):
-            o = dict(zip(measured, bits))
-            table[frozenset(o.items())] = self.frame_for(o)
-        return table
+        return {frozenset(o.items()): self.frame_for(o) for o in self.circuit.outcomes()}
 
 
 @dataclass

@@ -120,6 +120,20 @@ def test_validate_condition_order():
     assert "condition-order" in {v.code for v in validate_icm(c)}
 
 
+def test_validate_conditioned_qubit_measured_again():
+    # the conditioned qubit is measured again by a later rule
+    c = load_fixture("conditioned_remeasured.icm")
+    assert [v.code for v in validate_icm(c)] == ["remeasured"]
+
+
+def test_outcomes_enumerate_measured_ids_last_fastest(t_circuit):
+    assert t_circuit.measured_ids() == ("q2", "q3")
+    assert list(t_circuit.outcomes()) == [
+        {"q2": 0, "q3": 0}, {"q2": 0, "q3": 1}, {"q2": 1, "q3": 0}, {"q2": 1, "q3": 1},
+    ]
+    assert list(_mk([QubitDecl("w", "io")]).outcomes()) == [{}]
+
+
 def test_rule_constructor_checks():
     with pytest.raises(IcmParseError):
         MeasurementRule("a", "Z", "a", "X", "Z")

@@ -43,6 +43,11 @@ def test_parse_error_exit_code(capsys):
     assert "line 5" in err
 
 
+def test_parse_rejects_a_conditioned_qubit_measured_again(capsys):
+    assert main(["parse", fx("conditioned_remeasured.icm")]) == 2
+    assert "remeasured [b]" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["parse", "/no/such/file.icm"]) == 2
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -80,6 +81,110 @@ def test_channel_size_cap_counts_input_ports():
         channel_choi(c)
 
 
+def test_extra_qubits_are_traced_out():
+    # the ancilla copies q1 and is then discarded: Z-dephasing
+    c = parse_circuit("icm v1\nio q1\nancilla a teleport init Z\ncnot q1 a\nout q1\n")
+    assert np.array_equal(channel_choi(c), np.diag([1, 0, 0, 1]))
+    assert np.array_equal(channel_choi(c, frames="X"), np.diag([0, 1, 1, 0]))
+
+
+def test_output_ports_must_be_unmeasured():
+    c = parse_circuit(
+        "icm v1\nio q1\nancilla a teleport init Z\ncnot q1 a\nmeasure a Z\nout a\n"
+    )
+    with pytest.raises(OracleError, match="unmeasured"):
+        channel_choi(c)
+
+
+def test_a_qubit_measured_twice_is_rejected_without_validation():
+    c = load_fixture("conditioned_remeasured.icm")
+    with pytest.raises(OracleError, match="'b' measured twice"):
+        channel_choi(c)
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.diag([1, -1]).astype(complex)
+# measurement observables; the A basis is the eigenbasis of (X + Y)/sqrt(2)
+_OBSERVABLE = {"X": _X, "Y": _Y, "Z": _Z, "A": (_X + _Y) / np.sqrt(2)}
+_PAULI = {"I": np.eye(2), "X": _X, "Y": _Y, "Z": _Z}
+
+
+def _reference_choi(c, frames):
+    """Choi matrix from 2**n x 2**n operators: the CNOTs as matrices, each
+    branch as a product of projectors, extras and measured qubits traced out."""
+    n = c.n
+
+    def on(ops):
+        return functools.reduce(np.kron, [ops.get(i, np.eye(2)) for i in range(n)])
+
+    u = np.eye(2**n)
+    for ci, ti in c.cnot_indices():
+        u = (on({ci: np.diag([1, 0])}) + on({ci: np.diag([0, 1]), ti: _X})) @ u
+    prep = functools.reduce(np.kron, [
+        np.eye(2) if q.kind == "io" else np.linalg.eigh(_OBSERVABLE[q.init])[1][:, [1]]
+        for q in c.qubits
+    ])
+    measured = c.measured_ids()
+    outs = [c.index(q) for q in (c.outputs or [q.id for q in c.qubits if q.id not in measured])]
+    k, m = len(c.io_ids()), len(outs)
+
+    def projector(qid, basis, bit):
+        return {c.index(qid): (np.eye(2) + (-1) ** bit * _OBSERVABLE[basis]) / 2}
+
+    choi = np.zeros((2 ** (k + m),) * 2, dtype=complex)
+    for o in c.outcomes():
+        kraus = u @ prep
+        for r in c.rules:
+            kraus = on(projector(r.q1, r.b1, o[r.q1])) @ kraus
+            if r.conditional:
+                kraus = on(projector(r.q2, r.b3 if o[r.q1] else r.b2, o[r.q2])) @ kraus
+        frame = frames if isinstance(frames, str) else frames.get(frozenset(o.items()), "")
+        if frame:
+            kraus = on({q: _PAULI[ch] for q, ch in zip(outs, frame)}) @ kraus
+        t = kraus.reshape((2,) * n + (2**k,))
+        kept = [n + q if q in outs else q for q in range(n)]
+        block = np.einsum(t, list(range(n)) + [2 * n], t.conj(), kept + [2 * n + 1],
+                          [2 * n] + outs + [2 * n + 1] + [n + q for q in outs])
+        choi += block.reshape(choi.shape)
+    return choi
+
+
+def _branchy_circuit(rng):
+    """Random circuit with conditional rules and, often, extra unmeasured qubits."""
+    qubits = [QubitDecl(f"q{i}", "io") for i in range(rng.randint(1, 2))]
+    qubits += [QubitDecl(f"a{j}", "teleport", rng.choice("XYZA")) for j in range(rng.randint(1, 4))]
+    rng.shuffle(qubits)
+    ids = [q.id for q in qubits]
+    cnots = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 8))]
+    free = rng.sample(ids, len(ids))
+    rules = []
+    while len(free) > 1 and rng.random() < 0.7:
+        q1 = free.pop()
+        if rng.random() < 0.5:
+            rules.append(MeasurementRule(q1, rng.choice("XYZA"), free.pop(),
+                                         rng.choice("XYZA"), rng.choice("XYZA")))
+        else:
+            rules.append(MeasurementRule(q1, rng.choice("XYZA")))
+    outputs = None
+    if free and rng.random() < 0.5:
+        outputs = tuple(rng.sample(free, rng.randint(1, len(free))))
+    return IcmCircuit(tuple(qubits), tuple(cnots), tuple(rules), outputs)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_channel_choi_matches_an_operator_reference(seed):
+    rng = random.Random(7000 + seed)
+    c = _branchy_circuit(rng)
+    m = len(c.outputs or [q for q in c.qubits if q.id not in c.measured_ids()])
+    frames = {frozenset(o.items()): "".join(rng.choice("IXYZ") for _ in range(m))
+              for o in c.outcomes()}
+    for fr in (None, frames):
+        got = channel_choi(c, frames=fr)
+        want = _reference_choi(c, {} if fr is None else fr)
+        assert np.abs(got - want).max() < 1e-12
+
+
 # --- run_branch --------------------------------------------------------------
 
 
@@ -149,6 +254,16 @@ def test_fit_frames_shape_check():
         fit_frames(c, np.eye(4))
 
 
+def test_fit_frames_size_cap_counts_input_ports():
+    # n = 9 fits the cap but n + k = 14 does not; 4 output ports are allowed
+    qubits = [QubitDecl(f"q{i}", "io") for i in range(5)]
+    qubits += [QubitDecl(f"a{i}", "teleport", "Z") for i in range(4)]
+    rules = tuple(MeasurementRule(f"q{i}", "X") for i in range(5))
+    c = IcmCircuit(tuple(qubits), (), rules)
+    with pytest.raises(SizeCapError, match="got 14"):
+        fit_frames(c, np.zeros((16, 32)))
+
+
 # --- sampling ----------------------------------------------------------------
 
 
@@ -183,6 +298,11 @@ def test_sample_verify_is_seeded(cnot_circuit):
     a = sample_verify(cnot_circuit, table, shots=50, seed=3)
     b = sample_verify(cnot_circuit, table, shots=50, seed=3)
     assert a is True and b is True
+
+
+def test_sample_verify_rejects_negative_shots(cnot_circuit):
+    with pytest.raises(OracleError, match="shots"):
+        sample_verify(cnot_circuit, derive_truth_table(cnot_circuit), shots=-1)
 
 
 # --- dense sanity ------------------------------------------------------------
