@@ -17,8 +17,6 @@ from .pauli import (
     pauli_mul,
     pauli_parse,
     pauli_format,
-    conjugate_cnot,
-    conjugate_circuit,
     row_multiply,
     row_superpose,
 )
@@ -46,7 +44,7 @@ from .specfmt import (
     parse_spec,
     serialize_spec,
 )
-from .verifier import VerificationReport, verify, spec_equiv, spec_diff
+from .verifier import VerificationReport, verify, spec_diff
 from .transforms import TransformError, dual_rewrite, demote_rotated_measurement
 from .compiler import (
     CompileError,
@@ -58,7 +56,6 @@ from .compiler import (
 from .oracle import (
     OracleError,
     SizeCapError,
-    run_branch,
     channel_choi,
     channels_equal,
     choi_of_unitary,

@@ -218,6 +218,8 @@ def parse_circuit(text: str) -> IcmCircuit:
         elif kw == "out":
             if len(tok) < 2:
                 raise IcmParseError("usage: out <id> [<id> ...]", ln)
+            if outputs is not None:
+                raise IcmParseError("second 'out' line; list every output on one", ln)
             outputs = [need(q, ln) for q in tok[1:]]
         else:
             raise IcmParseError(f"unknown directive {kw!r}", ln)
@@ -230,15 +232,10 @@ def parse_circuit(text: str) -> IcmCircuit:
         raise IcmParseError(
             f"qubits line says {declared_n} but {len(qubits)} qubits are declared"
         )
-    try:
-        return IcmCircuit(
-            tuple(qubits), tuple(cnots), tuple(rules),
-            tuple(outputs) if outputs is not None else None,
-        )
-    except IcmParseError:
-        raise
-    except ValueError as exc:  # pragma: no cover - defensive
-        raise IcmParseError(str(exc))
+    return IcmCircuit(
+        tuple(qubits), tuple(cnots), tuple(rules),
+        tuple(outputs) if outputs is not None else None,
+    )
 
 
 def _parse_measure(tok: list[str], ln: int, need, error=IcmParseError) -> MeasurementRule:
@@ -348,6 +345,15 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
                     "condition-order", r.q2,
                     f"conditioned by rule {i} but measured by earlier rule {seen_q1[r.q2]}"))
             conditioned[r.q2] = i
+
+    # outputs are distinct qubits that no rule measures
+    listed: set[str] = set()
+    for qid in c.outputs or ():
+        if qid in seen_q1 or qid in conditioned:
+            out.append(Violation("bad-output", qid, "output qubit is measured"))
+        elif qid in listed:
+            out.append(Violation("bad-output", qid, "output qubit listed twice"))
+        listed.add(qid)
 
     for q in c.qubits:
         if q.kind == "teleport" and teleport_rotation(c, q) == "both":

@@ -62,35 +62,61 @@ class GateList:
 
     def __post_init__(self) -> None:
         for g in self.gates:
-            name, *args = g
-            if name == "cnot":
-                ok = len(args) == 2 and args[0] != args[1]
-            else:
-                ok = name in GATES_1Q and len(args) == 1
-            if not ok or any(not 0 <= a < self.n for a in args):
+            if _gate_problem(g, self.n):
                 raise CompileError(f"bad gate {g!r}")
 
 
+def _gate_problem(gate: tuple, n: int) -> str | None:
+    """Why ``gate`` (0-based qubits) is not a gate on n qubits, or None.
+
+    The message names qubits 1-based, as the ``gates v1`` text does.
+    """
+    name, *args = gate
+    if name != "cnot" and name not in GATES_1Q:
+        return f"unknown gate {name!r}"
+    arity = 2 if name == "cnot" else 1
+    if len(args) != arity:
+        return f"{name} takes {arity} qubit{'s' if arity > 1 else ''}, got {len(args)}"
+    for a in args:
+        if not 0 <= a < n:
+            return f"qubit {a + 1} is not in 1..{n}"
+    if name == "cnot" and args[0] == args[1]:
+        return "cnot control equals target"
+    return None
+
+
 def parse_gates(text: str) -> GateList:
-    lines = [ln.split("#")[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "gates v1":
+    """Parse the ``gates v1`` format; errors name the 1-based line."""
+    lines = [(ln, raw.split("#")[0].strip()) for ln, raw in enumerate(text.splitlines(), 1)]
+    lines = [(ln, s) for ln, s in lines if s]
+    if not lines:
         raise CompileError("expected 'gates v1' header")
-    if len(lines) < 2 or not lines[1].startswith("qubits "):
+    ln, s = lines[0]
+    if s != "gates v1":
+        raise CompileError(f"line {ln}: expected 'gates v1' header")
+    if len(lines) < 2:
         raise CompileError("expected 'qubits N' after header")
+    ln, s = lines[1]
+    if not s.startswith("qubits "):
+        raise CompileError(f"line {ln}: expected 'qubits N' after header")
     try:
-        n = int(lines[1].split()[1])
+        n = int(s.split()[1])
     except (IndexError, ValueError):
-        raise CompileError(f"bad qubit count line {lines[1]!r}") from None
+        raise CompileError(f"line {ln}: bad qubit count line {s!r}") from None
     if n < 1:
-        raise CompileError("need at least one qubit")
+        raise CompileError(f"line {ln}: need at least one qubit")
     gates = []
-    for ln in lines[2:]:
-        tok = ln.split()
+    for ln, s in lines[2:]:
+        tok = s.split()
         try:
-            gates.append((tok[0], *(int(t) - 1 for t in tok[1:])))
+            gate = (tok[0], *(int(t) - 1 for t in tok[1:]))
         except ValueError:
-            raise CompileError(f"bad gate line {ln!r}") from None
+            raise CompileError(
+                f"line {ln}: bad gate line {s!r}: qubits are numbered 1..{n}"
+            ) from None
+        if why := _gate_problem(gate, n):
+            raise CompileError(f"line {ln}: bad gate {s!r}: {why}")
+        gates.append(gate)
     return GateList(n, tuple(gates))
 
 
@@ -106,10 +132,6 @@ class _Form:
 
     def evaluate(self, outcomes: dict[str, int]) -> int:
         return (self.const + sum(outcomes[v] for v in self.vars)) & 1
-
-    @property
-    def zero(self) -> bool:
-        return not self.vars and self.const == 0
 
 
 def _v(var: str) -> _Form:

@@ -123,26 +123,6 @@ def _branches(
         yield outcome, t.reshape(2 ** len(keep), 2**k)
 
 
-def run_branch(
-    c: IcmCircuit,
-    input_kets: dict[str, np.ndarray],
-    outcomes: dict[str, int],
-) -> tuple[np.ndarray, list[str]]:
-    """Run one measurement branch; returns (unnormalised vec, leftover ids).
-
-    ``outcomes`` fixes the +1/-1 result (0/1) for every measured qubit;
-    a conditional partner is measured in the basis its trigger's outcome
-    selects.  The vector is the branch's Kraus operator applied to the
-    product of the io qubits' ``input_kets``, over the leftover qubits in
-    declaration order; like ``channel_choi`` it is capped at n + k qubits.
-    """
-    measured = set(c.measured_ids())
-    alive = [q.id for q in c.qubits if q.id not in measured]
-    [(_, kraus)] = _branches(c, alive, [outcomes])
-    vec = functools.reduce(np.kron, [input_kets[qid] for qid in c.io_ids()], np.ones(1))
-    return kraus @ vec, alive
-
-
 def _port_ids(c: IcmCircuit) -> tuple[list[str], list[str], list[str]]:
     """(input ports, output ports, extras) by qubit id.
 
@@ -187,6 +167,12 @@ def channel_choi(
     correction on the output ports: either one static Pauli string, or a
     map keyed by frozenset of (measured qubit id, outcome bit) items.
     Unmeasured qubits that are not outputs are traced out.
+
+    The matrix is ``M @ M^H`` for the stacked branch Kraus columns M, so
+    it is Hermitian and positive semidefinite by construction.  What a
+    faulty branch enumeration would break is trace preservation, so
+    OracleError is raised unless ||M||_F^2 = tr(Choi) is 2**k to a
+    relative 1e-10.
     """
     ins, outs, extras = _port_ids(c)
     k, m = len(ins), len(outs)
@@ -199,15 +185,10 @@ def channel_choi(
             kraus = _frame_unitary(fr, m) @ kraus
         columns.append(kraus.reshape(2**m, -1, 2**k).transpose(2, 0, 1).reshape(2 ** (k + m), -1))
     vecs = np.concatenate(columns, axis=1)
-    choi = vecs @ vecs.conj().T
-
-    herm_err = np.abs(choi - choi.conj().T).max()
-    if herm_err > 1e-10:
-        raise OracleError(f"Choi matrix not Hermitian (err {herm_err:.2e})")
-    eig = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-    if eig.min() < -1e-10:
-        raise OracleError(f"Choi matrix not PSD (min eig {eig.min():.2e})")
-    return choi
+    trace = np.vdot(vecs, vecs).real
+    if abs(trace - 2**k) > 1e-10 * 2**k:
+        raise OracleError(f"channel not trace-preserving: Choi trace {trace:.12g}, want {2**k}")
+    return vecs @ vecs.conj().T
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -220,7 +201,12 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def channels_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(np.abs(a - b).max() <= tol)
+    # a few rows at a time: a full-size difference of two 512 x 512 Choi
+    # matrices is a fresh 4 MB temporary, page-faulted anew on every call
+    step = max(1, 4096 // a.shape[-1])
+    return all(
+        np.abs(a[i : i + step] - b[i : i + step]).max() <= tol for i in range(0, len(a), step)
+    )
 
 
 def _pauli_strings(m: int):
@@ -263,12 +249,10 @@ def fit_frames(
         hit = None
         for ps in _pauli_strings(m):
             pu = _frame_unitary(ps, m)
-            lead = None
-            for a, b in zip(residue.reshape(-1), pu.reshape(-1)):
-                if abs(b) > 0.5:
-                    lead = a / b
-                    break
-            if lead is None or abs(lead) < tol:
+            # row 0 of a Pauli matrix holds exactly one nonzero entry
+            j = int(np.flatnonzero(pu[0])[0])
+            lead = residue[0, j] / pu[0, j]
+            if abs(lead) < tol:
                 continue
             if np.abs(residue - lead * pu).max() <= tol * max(1.0, abs(lead)):
                 hit = ps
@@ -283,17 +267,15 @@ def fit_frames(
 # independent truth-table oracle
 
 
+def _bit_reversed(v: int, n: int) -> int:
+    """``v`` with its n low bits in reverse order: qubit k <-> basis bit n-1-k."""
+    return int(format(v, f"0{n}b")[::-1], 2)
+
+
 def _pauli_action(p: PauliOperator):
     """Return (offset, phase array) so that P|e_k> = phases[k] |e_{k ^ off}>."""
     n, x, z = p.n, p.x, p.z
-    off = 0
-    for k in range(n):
-        if (x >> k) & 1:
-            off |= 1 << (n - 1 - k)
-    zmask = 0
-    for k in range(n):
-        if (z >> k) & 1:
-            zmask |= 1 << (n - 1 - k)
+    off, zmask = _bit_reversed(x, n), _bit_reversed(z, n)
     base = (1j) ** (p.phase % 4) * (1j) ** bin(x & z).count("1")
     ks = np.arange(2**n)
     par = np.zeros(2**n, dtype=np.int64)  # parity of popcount(k & zmask)
@@ -341,10 +323,7 @@ def oracle_truth_table(c: IcmCircuit) -> StabiliserTruthTable:
         if not (offs == offs[0]).all():
             raise OracleError("conjugated operator is not a Pauli (offset varies)")
         out_off = int(offs[0])
-        out_x = 0
-        for bit in range(n):
-            if (out_off >> (n - 1 - bit)) & 1:
-                out_x |= 1 << bit
+        out_x = _bit_reversed(out_off, n)
         # z-bits from value ratios between column 0 and single-bit columns
         out_z = 0
         for bit in range(n):

@@ -65,14 +65,6 @@ class PauliOperator:
     def letter(self, k: int) -> str:
         return _BITS_LETTER[(self.x >> k) & 1, (self.z >> k) & 1]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-    @property
-    def weight(self) -> int:
-        return ((self.x | self.z)).bit_count()
-
     def canonical(self) -> "PauliOperator":
         """The same letters with the global phase dropped."""
         return PauliOperator(self.n, self.x, self.z, 0)
@@ -132,34 +124,15 @@ def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.n, xa ^ xb, za ^ zb, phase % 4)
 
 
-def conjugate_cnot(p: PauliOperator, control: int, target: int) -> PauliOperator:
-    """Conjugate ``p`` by a single CNOT: ``CNOT . p . CNOT``."""
-    if control == target:
-        raise PauliError("cnot control and target must differ")
-    xc = (p.x >> control) & 1
-    zc = (p.z >> control) & 1
-    xt = (p.x >> target) & 1
-    zt = (p.z >> target) & 1
-    x = p.x ^ (xc << target)
-    z = p.z ^ (zt << control)
-    phase = p.phase + 2 * (xc & zt & (xt ^ zc ^ 1))
-    return PauliOperator(p.n, x, z, phase % 4)
-
-
-def conjugate_circuit(p: PauliOperator, cnots: Iterable[tuple[int, int]]) -> PauliOperator:
-    """Conjugate ``p`` through a CNOT list applied in temporal order."""
-    for c, t in cnots:
-        p = conjugate_cnot(p, c, t)
-    return p
-
-
 def conjugate_paulis(
     ops: Sequence[PauliOperator], cnots: Iterable[tuple[int, int]]
 ) -> list[PauliOperator]:
-    """Conjugate every operator through a CNOT list at once.
+    """Conjugate every operator through a CNOT list applied in temporal order.
 
-    Equal to ``conjugate_circuit`` applied to each operator: the sign a
-    CNOT can introduce is returned as an added phase of 2.
+    Each CNOT maps X_c -> X_c X_t and Z_t -> Z_c Z_t.  It flips the sign
+    of an operator that has X on the control and Z on the target and
+    whose X bit on the target equals its Z bit on the control; the flip
+    is returned as an added phase of 2.
     """
     if not ops:
         return []
@@ -237,8 +210,12 @@ def row_parse(text: str, n: int | None = None) -> TableRow:
         lhs = lhs[1:].strip()
     pin = pauli_parse(lhs, n)
     pout = pauli_parse(parts[1].strip(), pin.n)
-    if pin.phase or pout.phase:
+    if (pin.phase | pout.phase) & 1:
         raise PauliError(f"row operators must not carry i phases: {text!r}")
+    if pin.phase or pout.phase:
+        sign *= -1 if (pin.phase ^ pout.phase) else 1
+        fixed = TableRow(pin.canonical(), pout.canonical(), sign).format()
+        raise PauliError(f"the row sign goes before the input, as in {fixed!r}: {text!r}")
     return TableRow(pin, pout, sign)
 
 

@@ -8,7 +8,7 @@ without the source circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import (
     BASES,
@@ -22,8 +22,17 @@ from .table import StabiliserTruthTable, derive_truth_table
 
 
 class SpecParseError(Exception):
-    def __init__(self, message: str, line: int | None = None):
+    """Malformed spec; ``line`` is the 1-based line number when known.
+
+    ``source`` is the (directive, qubit id) pair that a ``Specification``
+    check blames, which lets ``parse_spec`` find the line.
+    """
+
+    def __init__(
+        self, message: str, line: int | None = None, source: tuple[str, str] | None = None
+    ):
         self.line = line
+        self.source = source
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -33,37 +42,42 @@ class SpecParseError(Exception):
 class Specification:
     n: int
     io_ids: tuple[str, ...]
-    inits: dict[str, str]          # ancilla id -> init basis (the set I)
+    inits: dict[str, str]          # ancilla id -> init basis (the set I), roster order
     table: StabiliserTruthTable    # ST, columns in roster order
     rules: tuple[MeasurementRule, ...]  # O, order-significant
-    ancilla_order: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        anc = self.ancilla_order or tuple(self.inits)
-        object.__setattr__(self, "ancilla_order", anc)
-        roster = self.roster()
-        if len(roster) != self.n or len(set(roster)) != self.n:
+        seen: set[str] = set()
+        for qid in self.roster():
+            if qid in seen:
+                raise SpecParseError(f"qubit {qid!r} declared twice", source=("declare", qid))
+            seen.add(qid)
+        if len(seen) != self.n:
             raise SpecParseError(
-                f"roster has {len(set(roster))} distinct ids for {self.n} qubits"
+                f"qubits line says {self.n} but {len(seen)} qubits are declared",
+                source=("qubits", ""),
             )
         if self.table.n != self.n:
             raise SpecParseError(
                 f"table is {self.table.n}-qubit but spec declares {self.n}"
             )
         io = set(self.io_ids)
-        for qid in self.inits:
-            if qid in io:
-                raise SpecParseError(f"init set names io qubit {qid!r}")
         for rule in self.rules:
             for qid in rule.measured_qubits():
                 if qid in io:
                     raise SpecParseError(
-                        f"measurement rules name io qubit {qid!r}"
+                        f"measurement rules name io qubit {qid!r}", source=("measure", qid)
                     )
                 if qid not in self.inits:
                     raise SpecParseError(
-                        f"measurement rules name undeclared qubit {qid!r}"
+                        f"measurement rules name undeclared qubit {qid!r}",
+                        source=("measure", qid),
                     )
+
+    @property
+    def ancilla_order(self) -> tuple[str, ...]:
+        """The ancilla ids in roster order, which is the order of ``inits``."""
+        return tuple(self.inits)
 
     def roster(self) -> tuple[str, ...]:
         return self.io_ids + self.ancilla_order
@@ -112,7 +126,7 @@ def derive_specification(c: IcmCircuit) -> Specification:
     rules = tuple(
         r for r in c.rules if all(q in anc_set for q in r.measured_qubits())
     )
-    return Specification(c.n, tuple(io), inits, table, rules, tuple(anc))
+    return Specification(c.n, tuple(io), inits, table, rules)
 
 
 def serialize_spec(s: Specification) -> str:
@@ -134,7 +148,7 @@ def parse_spec(text: str) -> Specification:
     n: int | None = None
     io: list[str] = []
     inits: dict[str, str] = {}
-    anc_order: list[str] = []
+    lines: dict[tuple[str, str], int] = {}  # (directive, qubit id) -> line
     rows: list[TableRow] = []
     rules: list[MeasurementRule] = []
     in_table = False
@@ -166,8 +180,10 @@ def parse_spec(text: str) -> Specification:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise SpecParseError("expected 'qubits <N>'", lineno)
             n = int(parts[1])
+            lines["qubits", ""] = lineno
         elif kw == "io":
             io.extend(parts[1:])
+            lines.update((("declare", qid), lineno) for qid in parts[1:])
         elif kw == "init":
             if len(parts) != 3:
                 raise SpecParseError("expected 'init <id> <basis>'", lineno)
@@ -176,7 +192,7 @@ def parse_spec(text: str) -> Specification:
             if parts[1] in inits:
                 raise SpecParseError(f"duplicate init for {parts[1]!r}", lineno)
             inits[parts[1]] = parts[2]
-            anc_order.append(parts[1])
+            lines["declare", parts[1]] = lineno
         elif kw == "table":
             if n is None:
                 raise SpecParseError("'table' before 'qubits'", lineno)
@@ -188,6 +204,8 @@ def parse_spec(text: str) -> Specification:
             rules.append(
                 _parse_measure(parts, lineno, lambda qid, _ln: qid, SpecParseError)
             )
+            for qid in rules[-1].measured_qubits():
+                lines.setdefault(("measure", qid), lineno)
         else:
             raise SpecParseError(f"unknown directive {kw!r}", lineno)
 
@@ -195,7 +213,9 @@ def parse_spec(text: str) -> Specification:
         raise SpecParseError("missing 'qubits' line")
     if in_table:
         raise SpecParseError("table block not closed with 'end'")
-    return Specification(
-        n, tuple(io), inits, StabiliserTruthTable(n, tuple(rows)),
-        tuple(rules), tuple(anc_order),
-    )
+    try:
+        return Specification(
+            n, tuple(io), inits, StabiliserTruthTable(n, tuple(rows)), tuple(rules)
+        )
+    except SpecParseError as exc:
+        raise SpecParseError(str(exc), lines.get(exc.source)) from None

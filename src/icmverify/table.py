@@ -36,19 +36,6 @@ class StabiliserTruthTable:
         return self.format()
 
 
-def expected_row_count(c: IcmCircuit) -> int:
-    """2*|io| + 2*|rotated-init teleport| + |rotated-meas teleport| + |computational|."""
-    count = 0
-    for q in c.qubits:
-        if q.kind == "io":
-            count += 2
-        elif q.kind == "teleport":
-            count += 2 if q.init in ROTATED_BASES else 1
-        elif q.kind == "computational":
-            count += 1
-    return count
-
-
 def seed_rows(c: IcmCircuit) -> list[tuple[int, str, str, str]]:
     """(qubit index, qubit id, basis letter, seed kind) in declaration order."""
     seeds: list[tuple[int, str, str, str]] = []

@@ -8,7 +8,7 @@ Three criteria, all report data rather than exceptions:
 3. the candidate's ancilla measurement rules equal O, in order.
 
 Criterion 2 checks literal rows (obligations), not row-span
-equivalence; ``spec_equiv`` is the span-level comparison for two
+equivalence; ``spec_diff`` is the span-level comparison for two
 specifications.
 """
 
@@ -174,7 +174,3 @@ def spec_diff(a: Specification, b: Specification) -> SpecDiff:
         )
         msgs.append(f"measurement rules differ at rule {idx}")
     return SpecDiff(not msgs, msgs)
-
-
-def spec_equiv(a: Specification, b: Specification) -> bool:
-    return spec_diff(a, b).equal

@@ -1,0 +1,28 @@
+"""The package's public names, pinned so that none is added or comes back
+without a deliberate edit here."""
+
+import icmverify
+
+PUBLIC = {
+    # data types and errors
+    "Basis", "CompileError", "CompileResult", "FormalSuperposition", "GateList",
+    "IcmCircuit", "IcmParseError", "MeasurementRule", "OracleError", "PauliError",
+    "PauliOperator", "QubitDecl", "SizeCapError", "SpecParseError", "Specification",
+    "StabiliserTruthTable", "TableRow", "TransformError", "VerificationReport",
+    "Violation",
+    # functions
+    "canonicalize_table", "channel_choi", "channels_equal", "choi_of_unitary",
+    "compile_to_icm", "demote_rotated_measurement", "derive_specification",
+    "derive_truth_table", "dual_rewrite", "fit_frames", "oracle_truth_table",
+    "parse_circuit", "parse_gates", "parse_spec", "pauli_format", "pauli_mul",
+    "pauli_parse", "row_multiply", "row_superpose", "sample_verify",
+    "serialize_circuit", "serialize_spec", "spec_diff", "table_equal",
+    "validate_icm", "verify",
+    # submodules
+    "circuit", "compiler", "oracle", "pauli", "specfmt", "table", "transforms",
+    "verifier",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(icmverify.__all__) == PUBLIC

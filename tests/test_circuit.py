@@ -50,6 +50,7 @@ def test_parse_reports_line_numbers():
         ("icm v1\nqubits 1\nancilla a teleport\n", "init"),
         ("icm v1\nqubits 1\nio q1\nmeasure q1 Q", "basis"),
         ("icm v1\nqubits 2\nio q1\nio q2\ncnot q1", "cnot"),
+        ("icm v1\nio q1\nout q1\nout q1", "second 'out' line"),
     ],
 )
 def test_parse_rejects(text, fragment):
@@ -124,6 +125,21 @@ def test_validate_conditioned_qubit_measured_again():
     # the conditioned qubit is measured again by a later rule
     c = load_fixture("conditioned_remeasured.icm")
     assert [v.code for v in validate_icm(c)] == ["remeasured"]
+
+
+def test_validate_bad_outputs():
+    # an output that a conditional rule measures, one listed twice, one fine
+    c = IcmCircuit(
+        (QubitDecl("w", "io"), QubitDecl("a", "teleport", "Z"),
+         QubitDecl("b", "teleport", "Z"), QubitDecl("c", "teleport", "Z")),
+        rules=(MeasurementRule("a", "Z", "b", "X", "Z"),),
+        outputs=("b", "w", "c", "w"),
+    )
+    assert [(v.code, v.entity, v.message) for v in validate_icm(c)] == [
+        ("bad-output", "b", "output qubit is measured"),
+        ("bad-output", "w", "output qubit listed twice"),
+    ]
+    assert validate_icm(IcmCircuit(c.qubits, c.cnots, c.rules, ("w", "c"))) == []
 
 
 def test_outcomes_enumerate_measured_ids_last_fastest(t_circuit):

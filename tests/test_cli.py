@@ -213,3 +213,72 @@ def test_build_parser_subcommands():
     assert args.command == "verify"
     with pytest.raises(SystemExit):
         ap.parse_args(["no-such-command"])
+
+
+# --- malformed input -----------------------------------------------------------
+
+SPEC = """spec v1
+qubits 2
+io w
+init a Z
+table
++ XI -> XX
++ ZI -> ZI
++ IZ -> ZZ
+end
+measure a Y
+"""
+
+
+@pytest.mark.parametrize(
+    "command, suffix, text, line, fragment",
+    [
+        pytest.param("compile", ".gates", "gates v1\nqubits 2\nt 3\n", 3,
+                     "bad gate 't 3': qubit 3 is not in 1..2", id="gate-qubit-range"),
+        pytest.param("compile", ".gates", "gates v1\nqubits 1\nfoo 1\n", 3,
+                     "unknown gate 'foo'", id="gate-name"),
+        pytest.param("compile", ".gates", "gates v1\nqubits 1\n\nt x\n", 4,
+                     "bad gate line 't x'", id="gate-qubit-text"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("io w", "io w w"), 3,
+                     "'w' declared twice", id="spec-io-repeat"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("init a Z", "init a Z\ninit w X"), 5,
+                     "'w' declared twice", id="spec-init-names-io"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("io w", "io w v"), 2,
+                     "qubits line says 2 but 3 qubits are declared", id="spec-qubit-count"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("measure a Y", "measure q9 Y"), 10,
+                     "undeclared qubit 'q9'", id="spec-measure-undeclared"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("measure a Y", "measure w Y"), 10,
+                     "io qubit 'w'", id="spec-measure-io"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("+ ZI -> ZI", "+ ZI -> -ZI"), 7,
+                     "row sign goes before the input, as in '- ZI -> ZI'", id="spec-row-sign"),
+        pytest.param("parse", ".icm", "icm v1\nio q1 q2\nout q1\nout q2\n", 4,
+                     "second 'out' line", id="icm-second-out"),
+    ],
+)
+def test_malformed_input_of_every_format_exits_2_naming_its_line(
+    tmp_path, capsys, command, suffix, text, line, fragment
+):
+    path = tmp_path / ("input" + suffix)
+    path.write_text(text)
+    args = [command, str(path)] + ([str(path)] if command == "spec-diff" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["parse", "derive-spec"])
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("icm v1\nio q1\nancilla a teleport init Z\ncnot q1 a\nmeasure a Z\nout a\n",
+         "bad-output [a]: output qubit is measured"),
+        ("icm v1\nio q1\nout q1 q1\n", "bad-output [q1]: output qubit listed twice"),
+    ],
+    ids=["measured", "repeated"],
+)
+def test_bad_outputs_exit_2_before_equiv(tmp_path, capsys, command, text, fragment):
+    path = tmp_path / "bad_out.icm"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert fragment in capsys.readouterr().err

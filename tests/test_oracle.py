@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -18,11 +19,11 @@ from icmverify import (
     fit_frames,
     oracle_truth_table,
     parse_circuit,
-    run_branch,
     sample_verify,
     table_equal,
     validate_icm,
 )
+from icmverify import oracle
 from icmverify.oracle import MAX_ORACLE_QUBITS
 
 from conftest import load_fixture, random_circuit
@@ -43,6 +44,29 @@ def test_cnot_channel_is_the_cnot_unitary(cnot_circuit):
 def test_choi_trace_convention(cnot_circuit):
     choi = channel_choi(cnot_circuit)
     assert abs(np.trace(choi) - 4.0) < 1e-12
+
+
+def test_a_dropped_branch_fails_the_trace_check(monkeypatch, t_circuit):
+    assert abs(np.trace(channel_choi(t_circuit)) - 2.0) < 1e-12
+    branches = oracle._branches
+    monkeypatch.setattr(
+        oracle, "_branches", lambda *a: itertools.islice(branches(*a), 1, None)
+    )
+    with pytest.raises(OracleError, match="trace-preserving: Choi trace 1.5, want 2"):
+        channel_choi(t_circuit)
+
+
+@pytest.mark.parametrize("row", [0, 7, 8, 300, 511])
+def test_channels_equal_sees_every_row_block(row):
+    a = np.zeros((512, 512), dtype=complex)
+    b = a.copy()
+    b[row, 511] = 1e-10
+    assert channels_equal(a, b)
+    b[row, 511] = 2e-9j
+    assert not channels_equal(a, b)
+    assert channels_equal(a, b, tol=2e-9)
+    b[row, 511] = np.nan
+    assert not channels_equal(a, b, tol=1.0)
 
 
 def test_teleport_needs_frames():
@@ -185,24 +209,21 @@ def test_channel_choi_matches_an_operator_reference(seed):
         assert np.abs(got - want).max() < 1e-12
 
 
-# --- run_branch --------------------------------------------------------------
+# --- branch Kraus operators ---------------------------------------------------
 
 
-def test_run_branch_teleport_branches():
+def test_branch_kraus_teleport():
     c = load_fixture("teleport.icm")
-    vec0, alive0 = run_branch(c, {"q1": KET0}, {"q1": 0})
-    assert alive0 == ["q2"]
+    kraus = {o["q1"]: k for o, k in oracle._branches(c, ["q2"])}
+    assert sorted(kraus) == [0, 1]
     # +1 branch carries |0> through unchanged, weight 1/2
-    assert np.allclose(vec0, KET0 / np.sqrt(2))
-    vec1, _ = run_branch(c, {"q1": KET0}, {"q1": 1})
-    assert np.allclose(vec1, KET1 / np.sqrt(2))
+    assert np.allclose(kraus[0] @ KET0, KET0 / np.sqrt(2))
+    assert np.allclose(kraus[1] @ KET0, KET1 / np.sqrt(2))
 
 
-def test_run_branch_conditional_bases(t_circuit):
-    vec, alive = run_branch(
-        t_circuit, {"q1": KET0}, {"q2": 0, "q3": 0}
-    )
-    assert alive == ["q1"]
+def test_branch_kraus_conditional_bases(t_circuit):
+    [(_, kraus)] = oracle._branches(t_circuit, ["q1"], [{"q2": 0, "q3": 0}])
+    vec = kraus @ KET0
     assert np.vdot(vec, vec).real > 0
 
 

@@ -4,8 +4,6 @@ import pytest
 from icmverify import (
     PauliError,
     PauliOperator,
-    conjugate_circuit,
-    conjugate_cnot,
     pauli_format,
     pauli_mul,
     pauli_parse,
@@ -13,6 +11,29 @@ from icmverify import (
     row_superpose,
 )
 from icmverify.pauli import TableRow, conjugate_paulis, row_parse
+
+
+# -- scalar reference for conjugate_paulis: one operator, one CNOT at a time --
+
+def conjugate_cnot(p: PauliOperator, control: int, target: int) -> PauliOperator:
+    """Conjugate ``p`` by a single CNOT: ``CNOT . p . CNOT``."""
+    if control == target:
+        raise PauliError("cnot control and target must differ")
+    xc = (p.x >> control) & 1
+    zc = (p.z >> control) & 1
+    xt = (p.x >> target) & 1
+    zt = (p.z >> target) & 1
+    x = p.x ^ (xc << target)
+    z = p.z ^ (zt << control)
+    phase = p.phase + 2 * (xc & zt & (xt ^ zc ^ 1))
+    return PauliOperator(p.n, x, z, phase % 4)
+
+
+def conjugate_circuit(p: PauliOperator, cnots) -> PauliOperator:
+    """Conjugate ``p`` through a CNOT list applied in temporal order."""
+    for c, t in cnots:
+        p = conjugate_cnot(p, c, t)
+    return p
 
 
 @pytest.mark.parametrize(
@@ -174,3 +195,18 @@ def test_row_superpose():
 def test_row_rejects_phase():
     with pytest.raises(PauliError):
         TableRow(pauli_parse("iX"), pauli_parse("X"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("+ XII -> -XXX", "row sign goes before the input, as in '- XII -> XXX'"),
+        ("- -XI -> XX", "row sign goes before the input, as in '+ XI -> XX'"),
+        ("+ XI -> iXX", "must not carry i phases"),
+        ("+ -iXI -> XX", "must not carry i phases"),
+    ],
+)
+def test_row_parse_names_what_is_wrong_with_a_phase(text, message):
+    with pytest.raises(PauliError) as exc:
+        row_parse(text)
+    assert message in str(exc.value)

@@ -11,9 +11,23 @@ from icmverify import (
     table_equal,
 )
 from icmverify.pauli import row_parse
-from icmverify.table import StabiliserTruthTable, expected_row_count, seed_rows
+from icmverify.circuit import ROTATED_BASES
+from icmverify.table import StabiliserTruthTable, seed_rows
 
 from conftest import load_fixture, random_circuit
+
+
+def expected_row_count(c: IcmCircuit) -> int:
+    """2*|io| + 2*|rotated-init teleport| + |rotated-meas teleport| + |computational|."""
+    count = 0
+    for q in c.qubits:
+        if q.kind == "io":
+            count += 2
+        elif q.kind == "teleport":
+            count += 2 if q.init in ROTATED_BASES else 1
+        elif q.kind == "computational":
+            count += 1
+    return count
 
 
 def test_cnot_truth_table(cnot_circuit):
