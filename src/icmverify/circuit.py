@@ -146,12 +146,45 @@ class IcmCircuit:
 
 @dataclass(frozen=True)
 class Violation:
+    """One broken ICM invariant.
+
+    ``source`` names what to blame in the circuit's text: ``("declare",
+    qubit id)``, ``("out", qubit id)`` or ``("measure", i)`` for the
+    i-th measure line.  Violations that ``parse_circuit`` rejects first
+    (duplicate or undeclared ids, a CNOT on one qubit) carry none.
+    """
+
     code: str
     entity: str
     message: str
+    source: tuple[str, str | int] | None = None
 
     def __str__(self) -> str:
         return f"{self.code} [{self.entity}]: {self.message}"
+
+
+def violation_line(text: str, v: Violation) -> int | None:
+    """The line of the ``icm v1`` text that ``v.source`` names, if any.
+
+    Only error reports need it, so ``parse_circuit`` records no lines
+    and this scans the text again.
+    """
+    if v.source is None:
+        return None
+    kind, key = v.source
+    seen = -1
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
+        if kind == "declare":
+            if tok[0] == "io" and key in tok[1:] or tok[0] == "ancilla" and tok[1:2] == [key]:
+                return ln
+        elif tok[0] == kind:
+            seen += 1
+            if kind == "out" or seen == key:
+                return ln
+    return None
 
 
 def parse_circuit(text: str) -> IcmCircuit:
@@ -310,7 +343,8 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
         if q.kind == "computational" and q.init not in PLAIN_BASES:
             out.append(Violation(
                 "computational-init", q.id,
-                f"computational ancillae initialise in X or Z, not {q.init}"))
+                f"computational ancillae initialise in X or Z, not {q.init}",
+                ("declare", q.id)))
 
     for i, (ctrl, tgt) in enumerate(c.cnots):
         for qid in (ctrl, tgt):
@@ -329,36 +363,41 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
         if r.q1 in seen_q1:
             out.append(Violation(
                 "remeasured", r.q1,
-                f"qubit measured by rule {seen_q1[r.q1]} and again by rule {i}"))
+                f"qubit measured by rule {seen_q1[r.q1]} and again by rule {i}",
+                ("measure", i)))
         elif r.q1 in conditioned:
             out.append(Violation(
                 "remeasured", r.q1,
-                f"qubit conditioned by rule {conditioned[r.q1]} and measured again by rule {i}"))
+                f"qubit conditioned by rule {conditioned[r.q1]} and measured again by rule {i}",
+                ("measure", i)))
         seen_q1[r.q1] = i
         if r.q2 is not None:
             if r.q2 in conditioned:
                 out.append(Violation(
                     "reconditioned", r.q2,
-                    f"qubit conditioned by rules {conditioned[r.q2]} and {i}"))
+                    f"qubit conditioned by rules {conditioned[r.q2]} and {i}",
+                    ("measure", i)))
             if r.q2 in seen_q1:
                 out.append(Violation(
                     "condition-order", r.q2,
-                    f"conditioned by rule {i} but measured by earlier rule {seen_q1[r.q2]}"))
+                    f"conditioned by rule {i} but measured by earlier rule {seen_q1[r.q2]}",
+                    ("measure", i)))
             conditioned[r.q2] = i
 
     # outputs are distinct qubits that no rule measures
     listed: set[str] = set()
     for qid in c.outputs or ():
         if qid in seen_q1 or qid in conditioned:
-            out.append(Violation("bad-output", qid, "output qubit is measured"))
+            out.append(Violation("bad-output", qid, "output qubit is measured", ("out", qid)))
         elif qid in listed:
-            out.append(Violation("bad-output", qid, "output qubit listed twice"))
+            out.append(Violation("bad-output", qid, "output qubit listed twice", ("out", qid)))
         listed.add(qid)
 
     for q in c.qubits:
         if q.kind == "teleport" and teleport_rotation(c, q) == "both":
             out.append(Violation(
                 "doubly-rotated", q.id,
-                f"teleport ancilla has rotated init {q.init} and a rotated measurement"))
+                f"teleport ancilla has rotated init {q.init} and a rotated measurement",
+                ("declare", q.id)))
 
     return out

@@ -9,7 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .circuit import IcmParseError, parse_circuit, serialize_circuit, validate_icm
+from .circuit import (
+    IcmParseError,
+    parse_circuit,
+    serialize_circuit,
+    validate_icm,
+    violation_line,
+)
 from .compiler import CompileError, compile_to_icm, parse_gates
 from .oracle import (
     OracleError,
@@ -37,10 +43,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_circuit(path: str):
-    c = parse_circuit(_read(path))
+    text = _read(path)
+    c = parse_circuit(text)
     violations = validate_icm(c)
     if violations:
-        raise IcmParseError("; ".join(str(v) for v in violations))
+        located = [(violation_line(text, v), v) for v in violations]
+        raise IcmParseError("; ".join(
+            str(v) if ln is None else f"line {ln}: {v}" for ln, v in located
+        ))
     return c
 
 

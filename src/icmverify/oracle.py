@@ -145,15 +145,24 @@ PAULI_1Q = {
 }
 
 
+@functools.lru_cache(maxsize=256)
 def _frame_unitary(frame: str | None, m: int) -> np.ndarray:
-    """Pauli string (e.g. 'XI') applied to the output ports, or identity."""
+    """Pauli string (e.g. 'XI') applied to the output ports, or identity.
+
+    Memoised, since every branch of a channel or a frame fit asks for
+    the same few strings again; the cache holds 256 matrices, enough
+    for every string ``fit_frames`` may try (m <= 4, at most 1 MB).
+    The arrays are shared between callers, so they are read-only.
+    """
     if not frame:
-        return np.eye(2**m, dtype=complex)
-    if len(frame) != m:
+        u = np.eye(2**m, dtype=complex)
+    elif len(frame) != m:
         raise OracleError(f"frame {frame!r} does not cover {m} output ports")
-    u = np.array([[1.0]], dtype=complex)
-    for ch in frame:
-        u = np.kron(u, PAULI_1Q[ch])
+    else:
+        u = np.array([[1.0]], dtype=complex)
+        for ch in frame:
+            u = np.kron(u, PAULI_1Q[ch])
+    u.setflags(write=False)
     return u
 
 

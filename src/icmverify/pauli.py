@@ -6,11 +6,13 @@ letter in text form), and a global phase as a power of ``i``.  A qubit
 whose x and z bits are both set carries the literal letter Y, with the
 convention ``Y = iXZ`` so that ``X*Z = -iY``.
 
-``conjugate_paulis`` moves a whole list of operators through a CNOT
-region at once: it transposes them into one x-bitset and one z-bitset
-per qubit (bit i belongs to operator i), so that each CNOT costs a few
-big-int operations however many operators there are.  The operators
-are transposed back only when the region is done.
+A list of r operators can also be held column-major, the layout of
+``table.StabiliserTruthTable``: one x-bitset and one z-bitset per qubit,
+in which bit i belongs to operator i.  ``conjugate_columns`` moves such
+a list through a CNOT region at once, so that each CNOT costs a few
+big-int operations however many operators there are, and
+``letter_block`` writes the letters of every operator from the columns
+without building a single operator.
 
 The text codec works on whole bit-masks, not single letters:
 ``pauli_format`` writes ``x`` and ``z`` as binary digits, adds them as
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
@@ -124,45 +127,65 @@ def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.n, xa ^ xb, za ^ zb, phase % 4)
 
 
-def conjugate_paulis(
-    ops: Sequence[PauliOperator], cnots: Iterable[tuple[int, int]]
-) -> list[PauliOperator]:
-    """Conjugate every operator through a CNOT list applied in temporal order.
+def conjugate_columns(
+    xs: list[int], zs: list[int], cnots: Iterable[tuple[int, int]]
+) -> int:
+    """Conjugate column-major operators through CNOTs applied in temporal order.
 
-    Each CNOT maps X_c -> X_c X_t and Z_t -> Z_c Z_t.  It flips the sign
-    of an operator that has X on the control and Z on the target and
-    whose X bit on the target equals its Z bit on the control; the flip
-    is returned as an added phase of 2.
+    ``xs[k]`` and ``zs[k]`` are the x and z bitsets of qubit k, bit i
+    belonging to operator i; both lists are updated in place.  Each CNOT
+    maps X_c -> X_c X_t and Z_t -> Z_c Z_t.  It flips the sign of an
+    operator that has X on the control and Z on the target and whose X
+    bit on the target equals its Z bit on the control.  Returns the
+    bitset of operators whose sign flipped an odd number of times.
     """
-    if not ops:
-        return []
-    n = ops[0].n
-    if any(p.n != n for p in ops):
-        raise PauliError("cannot conjugate operators on different qubit counts together")
-    xs = _transpose([p.x for p in ops], n)
-    zs = _transpose([p.z for p in ops], n)
     flips = 0
     for c, t in cnots:
         xc, zt = xs[c], zs[t]
         flips ^= xc & zt & ~(xs[t] ^ zs[c])
         xs[t] ^= xc
         zs[c] ^= zt
-    r = len(ops)
-    return [
-        PauliOperator(n, x, z, p.phase + 2 * ((flips >> i) & 1))
-        for i, (p, x, z) in enumerate(zip(ops, _transpose(xs, r), _transpose(zs, r)))
-    ]
+    return flips
 
 
-def _transpose(words: list[int], width: int) -> list[int]:
+def _transpose(
+    words: Sequence[int], width: int, keep: Iterable[int] | None = None
+) -> list[int]:
     """Bit-matrix transpose: bit k of ``words[i]`` becomes bit i of entry k.
 
+    Entries come for ``k`` in ``keep``, all ``width`` of them by default.
     Each word is written as a fixed-width binary string, last word
-    first, so one strided slice of the joined text is one column.
+    first, so one strided slice of the joined text is one entry.  The
+    words go in blocks of 1024, which keeps the slices within the
+    processor caches; on a 2-vCPU x86-64 virtual machine one block of
+    4800 words of 16000 bits took 1.5x as long.
     """
-    spec = f"0{width}b"
-    bits = "".join(format(w, spec) for w in reversed(words))
-    return [int(bits[j::width], 2) for j in reversed(range(width))]
+    spec = repeat(f"0{width}b")
+    last = width - 1
+    keep = range(width) if keep is None else list(keep)
+    entries = [0] * len(keep)
+    for top in range(0, len(words), 1024):
+        bits = "".join(map(format, reversed(words[top:top + 1024]), spec))
+        entries = [e | int(bits[last - k::width], 2) << top for e, k in zip(entries, keep)]
+    return entries
+
+
+def letter_block(xs: Sequence[int], zs: Sequence[int], r: int) -> str:
+    """The letters of r column-major operators, column-major too.
+
+    Character ``k * r + i`` is the letter of qubit k in operator i, so
+    ``block[i::r]`` is operator i's text.  As in ``pauli_format``, the
+    x and z digits of every column are added as bytes and mapped to
+    letters with one ``bytes.translate``.
+    """
+    if not r:
+        return ""
+    spec = repeat(f"0{r}b")
+    # the joined digits run from qubit n-1, operator r-1 down to qubit
+    # 0, operator 0, so the little-endian bytes of their sum run upwards
+    x = int.from_bytes("".join(map(format, reversed(xs), spec)).encode(), "big")
+    z = int.from_bytes("".join(map(format, reversed(zs), spec)).encode(), "big")
+    return (x + 2 * z).to_bytes(len(xs) * r, "little").translate(_CODE_LETTER).decode()
 
 
 # -- truth-table rows --------------------------------------------------------

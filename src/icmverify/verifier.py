@@ -9,7 +9,10 @@ Three criteria, all report data rather than exceptions:
 
 Criterion 2 checks literal rows (obligations), not row-span
 equivalence; ``spec_diff`` is the span-level comparison for two
-specifications.
+specifications.  Criterion 2 runs the candidate's CNOTs on the spec's input
+columns (one bitset per qubit, bit i for row i) and compares the result
+with the output columns and the sign bitset; a ``RowCheck`` is built
+only for the rows whose bits differ.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuit import IcmCircuit, validate_icm
-from .pauli import PauliOperator, TableRow, conjugate_paulis, pauli_format
+from .pauli import PauliOperator, TableRow, _transpose, conjugate_columns, pauli_format
 from .specfmt import Specification, permute_table
 from .table import table_equal
 
@@ -45,7 +48,7 @@ class VerificationReport:
     init_ok: bool = False
     init_mismatches: list[str] = field(default_factory=list)
     table_ok: bool = False
-    row_checks: list[RowCheck] = field(default_factory=list)
+    row_checks: list[RowCheck] = field(default_factory=list)  # failing rows, in row order
     rules_ok: bool = False
     rules_divergence: int | None = None  # first diverging rule index
 
@@ -116,13 +119,22 @@ def verify(candidate: IcmCircuit, spec: Specification) -> VerificationReport:
     report.init_ok = not report.init_mismatches
 
     # criterion 2: the candidate's CNOTs, re-indexed into spec columns
+    t = spec.table
     col = {qid: k for k, qid in enumerate(spec.roster())}
-    cnots = [(col[c], col[t]) for c, t in candidate.cnots]
-    outs = conjugate_paulis([row.input for row in spec.table.rows], cnots)
-    for spec_row, out in zip(spec.table.rows, outs):
-        sign = -1 if out.phase == 2 else 1
-        report.row_checks.append(RowCheck(spec_row, out.canonical(), sign))
-    report.table_ok = all(rc.passed for rc in report.row_checks)
+    xs, zs = list(t.in_x), list(t.in_z)
+    # table inputs carry no phase, so a row's actual sign is its flip
+    flips = conjugate_columns(xs, zs, [(col[c], col[q]) for c, q in candidate.cnots])
+    wrong = flips ^ t.signs
+    for got, want in zip(xs + zs, t.out_x + t.out_z):
+        wrong |= got ^ want
+    report.table_ok = not wrong
+    if wrong:
+        failing = [i for i, bit in enumerate(reversed(format(wrong, "b"))) if bit == "1"]
+        actual = zip(_transpose(xs, t.nrows, failing), _transpose(zs, t.nrows, failing))
+        report.row_checks = [
+            RowCheck(row, PauliOperator(spec.n, x, z), -1 if flips >> i & 1 else 1)
+            for row, i, (x, z) in zip(t.rows_at(failing), failing, actual)
+        ]
 
     # criterion 3: measurement rules, order-sensitive
     anc = {q.id for q in candidate.qubits if q.kind != "io"}

@@ -306,6 +306,11 @@ def test_criterion_7_4000_qubits_20k_cnots():
     assert _criterion_7_case(4000, 800, 3200, 20000) < 10.0
 
 
+def test_criterion_7_4000_qubits_fast():
+    """Derive and verify touch only column bitsets: no transpose into rows."""
+    assert _criterion_7_case(4000, 800, 3200, 20000) < 0.5
+
+
 def test_criterion_7_4000_qubit_spec_text_round_trip():
     spec = derive_specification(_criterion_7_circuit(4000, 800, 3200, 20000))
     t0 = time.perf_counter()

@@ -1,6 +1,10 @@
 """The package's public names, pinned so that none is added or comes back
 without a deliberate edit here."""
 
+import os
+import subprocess
+import sys
+
 import icmverify
 
 PUBLIC = {
@@ -26,3 +30,18 @@ PUBLIC = {
 
 def test_public_names_are_pinned():
     assert set(icmverify.__all__) == PUBLIC
+
+
+def test_import_leaves_numpy_unloaded_until_an_oracle_name_is_used():
+    """``import icmverify`` loads no numpy; the oracle loads on first use."""
+    probe = (
+        "import sys, icmverify\n"
+        "print('numpy' in sys.modules)\n"
+        "missing = [n for n in icmverify.__all__ if getattr(icmverify, n, None) is None]\n"
+        "print(missing, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout.split("\n")
+    assert out[:2] == ["False", "[] True"]

@@ -253,6 +253,18 @@ measure a Y
                      "row sign goes before the input, as in '- ZI -> ZI'", id="spec-row-sign"),
         pytest.param("parse", ".icm", "icm v1\nio q1 q2\nout q1\nout q2\n", 4,
                      "second 'out' line", id="icm-second-out"),
+        pytest.param("derive-spec", ".icm",
+                     "icm v1\nio q1\nancilla a teleport init Z\ncnot q1 a\nmeasure a Z\n"
+                     "# the output is measured\nout q1 a\n", 7,
+                     "bad-output [a]: output qubit is measured", id="bad-output"),
+        pytest.param("parse", ".icm",
+                     "icm v1\nio q1\nancilla a teleport init Z\nancilla b teleport init X\n"
+                     "measure b X\nmeasure a X\nmeasure a Z\n", 7,
+                     "remeasured [a]: qubit measured by rule 1 and again by rule 2",
+                     id="remeasured"),
+        pytest.param("parse", ".icm",
+                     "icm v1\nio q1 a\nancilla b teleport init A\nmeasure b Y\n", 3,
+                     "doubly-rotated [b]: teleport ancilla has rotated init A", id="doubly-rotated"),
     ],
 )
 def test_malformed_input_of_every_format_exits_2_naming_its_line(

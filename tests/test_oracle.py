@@ -335,3 +335,13 @@ def test_t_conjugation_of_x():
     y = np.array([[0, -1j], [1j, 0]])
     got = t @ x @ t.conj().T
     assert np.allclose(got, (x + y) / np.sqrt(2))
+
+
+def test_frame_unitaries_are_memoised_and_read_only():
+    u = oracle._frame_unitary("XZ", 2)
+    assert oracle._frame_unitary("XZ", 2) is u
+    assert not u.flags.writeable
+    assert np.array_equal(u, np.kron(oracle.PAULI_1Q["X"], oracle.PAULI_1Q["Z"]))
+    assert not oracle._frame_unitary(None, 2).flags.writeable
+    with pytest.raises(OracleError, match="does not cover"):
+        oracle._frame_unitary("X", 2)

@@ -10,10 +10,11 @@ from icmverify import (
     row_multiply,
     row_superpose,
 )
-from icmverify.pauli import TableRow, conjugate_paulis, row_parse
+from icmverify.pauli import TableRow, conjugate_columns, row_parse
+from icmverify.table import StabiliserTruthTable
 
 
-# -- scalar reference for conjugate_paulis: one operator, one CNOT at a time --
+# -- scalar reference for conjugate_columns: one operator, one CNOT at a time --
 
 def conjugate_cnot(p: PauliOperator, control: int, target: int) -> PauliOperator:
     """Conjugate ``p`` by a single CNOT: ``CNOT . p . CNOT``."""
@@ -146,6 +147,23 @@ def test_conjugate_circuit_order():
     assert pauli_format(got) == "XXX"
 
 
+def conjugate_batch(ops, cnots):
+    """``conjugate_columns`` on the operators' per-qubit columns, read back bit by bit."""
+    n = ops[0].n
+    xs = [sum(((p.x >> k) & 1) << i for i, p in enumerate(ops)) for k in range(n)]
+    zs = [sum(((p.z >> k) & 1) << i for i, p in enumerate(ops)) for k in range(n)]
+    flips = conjugate_columns(xs, zs, cnots)
+    return [
+        PauliOperator(
+            n,
+            sum(((xs[k] >> i) & 1) << k for k in range(n)),
+            sum(((zs[k] >> i) & 1) << k for k in range(n)),
+            p.phase + 2 * ((flips >> i) & 1),
+        )
+        for i, p in enumerate(ops)
+    ]
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(11)
     n = 5
@@ -154,15 +172,15 @@ def test_batch_matches_scalar():
         PauliOperator(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
         for _ in range(16)
     ]
-    assert conjugate_paulis(ops, cnots) == [conjugate_circuit(p, cnots) for p in ops]
+    assert conjugate_batch(ops, cnots) == [conjugate_circuit(p, cnots) for p in ops]
 
 
 def test_batch_keeps_input_phase_and_rejects_mixed_sizes():
     ops = [pauli_parse("-XI"), pauli_parse("iYZ")]
-    assert conjugate_paulis(ops, [(0, 1)]) == [conjugate_circuit(p, [(0, 1)]) for p in ops]
-    assert conjugate_paulis([], [(0, 1)]) == []
+    assert conjugate_batch(ops, [(0, 1)]) == [conjugate_circuit(p, [(0, 1)]) for p in ops]
+    assert conjugate_columns([], [], []) == 0
     with pytest.raises(PauliError):
-        conjugate_paulis([pauli_parse("X"), pauli_parse("XI")], [])
+        StabiliserTruthTable(2, [row_parse("+ X -> X"), row_parse("+ XI -> XI")])
 
 
 def test_row_parse_and_format():

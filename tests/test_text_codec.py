@@ -135,3 +135,67 @@ def test_a_bad_row_in_a_spec_names_its_line_and_column():
         parse_spec("\n".join(lines))
     assert exc.value.line == k + 1
     assert str(exc.value) == f"line {k + 1}: bad Pauli letter 'Q' at column 3 of 'ZZQ'"
+
+
+@st.composite
+def column_tables(draw):
+    n = draw(st.sampled_from((1, 63, 64, 65)))
+    return n, draw(st.lists(rows(n), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_tables())
+@example((64, []))
+@example((1, [TableRow(PauliOperator(1, 1, 1), PauliOperator(1, 0, 1), -1)]))
+def test_rows_to_columns_to_rows(case):
+    """Row i is bit i of every column; the rows, their text and the spec
+    text come back unchanged from the columns alone."""
+    n, rs = case
+    t = StabiliserTruthTable(n, rs)
+    assert t.nrows == len(rs)
+    for k in range(n):
+        for cols, part in ((t.in_x, "input.x"), (t.in_z, "input.z"),
+                           (t.out_x, "output.x"), (t.out_z, "output.z")):
+            side, bit = part.split(".")
+            want = sum(((getattr(getattr(r, side), bit) >> k) & 1) << i
+                       for i, r in enumerate(rs))
+            assert cols[k] == want
+    assert t.signs == sum(1 << i for i, r in enumerate(rs) if r.sign == -1)
+
+    again = StabiliserTruthTable.from_columns(
+        n, t.nrows, t.in_x, t.in_z, t.out_x, t.out_z, t.signs
+    )
+    assert "rows" not in vars(again)  # built from the columns, not cached
+    assert again.rows == tuple(rs)
+    assert again == t
+    assert again.format() == "\n".join(r.format() for r in rs)
+
+    roster = " ".join(f"q{k}" for k in range(n))
+    text = f"spec v1\nqubits {n}\nio {roster}\ntable\n{t.format()}\nend\n".replace(
+        "table\n\nend", "table\nend"
+    )
+    parsed = parse_spec(text).table
+    assert parsed == t
+    assert parsed.rows == tuple(rs)
+
+
+def test_table_text_in_several_column_groups_and_row_blocks():
+    """1100 qubits and 1100 rows span two 1024-column groups when written,
+    two 1024-row blocks when read and two 1024-word blocks when
+    transposed."""
+    rng = random.Random(1100)
+    n = 1100
+    rs = [
+        TableRow(PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)),
+                 PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)),
+                 rng.choice((1, -1)))
+        for _ in range(1100)
+    ]
+    t = StabiliserTruthTable(n, rs)
+    text = t.format()
+    assert text == "\n".join(r.format() for r in rs)
+    roster = " ".join(f"q{k}" for k in range(n))
+    parsed = parse_spec(f"spec v1\nqubits {n}\nio {roster}\ntable\n{text}\nend\n").table
+    assert parsed == t
+    assert parsed.rows_at([0, 700, 1099]) == [rs[0], rs[700], rs[1099]]
+    assert parsed.rows == tuple(rs)

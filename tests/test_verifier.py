@@ -6,6 +6,9 @@ from icmverify import (
     IcmCircuit,
     MeasurementRule,
     QubitDecl,
+    Specification,
+    StabiliserTruthTable,
+    TableRow,
     derive_specification,
     parse_spec,
     serialize_spec,
@@ -14,6 +17,7 @@ from icmverify import (
 )
 
 from conftest import load_fixture, random_circuit
+from test_pauli import conjugate_circuit
 
 
 @pytest.fixture
@@ -148,3 +152,37 @@ def test_spec_diff_table(t_spec):
     mutated = derive_specification(load_fixture("t_mutated.icm"))
     d = spec_diff(t_spec, mutated)
     assert not d.equal
+
+
+def test_row_checks_list_exactly_the_failing_rows_in_row_order():
+    """Each row is checked against a one-CNOT-at-a-time reference; one
+    row's sign is flipped in the spec, so a sign mismatch shows too."""
+    rng = random.Random(34)
+    seen_failures = 0
+    for _ in range(30):
+        c = random_circuit(rng, max_cnots=20)
+        if c.n < 2:
+            continue
+        spec = derive_specification(c)
+        rows = list(spec.table.rows)
+        flip = rng.randrange(len(rows))
+        rows[flip] = TableRow(rows[flip].input, rows[flip].output, -rows[flip].sign)
+        spec = Specification(spec.n, spec.io_ids, spec.inits,
+                             StabiliserTruthTable(spec.n, rows), spec.rules)
+        ids = [q.id for q in c.qubits]
+        mutant = _with(c, cnots=(tuple(rng.sample(ids, 2)),) + c.cnots)
+        col = {qid: k for k, qid in enumerate(spec.roster())}
+        cnots = [(col[a], col[b]) for a, b in mutant.cnots]
+        want = []
+        for row in rows:
+            got = conjugate_circuit(row.input, cnots)
+            sign = -1 if got.phase == 2 else 1
+            if got.canonical() != row.output or sign != row.sign:
+                want.append((row, got.canonical(), sign))
+
+        report = verify(mutant, spec)
+        assert [(rc.row, rc.actual, rc.actual_sign) for rc in report.row_checks] == want
+        assert not any(rc.passed for rc in report.row_checks)
+        assert report.table_ok == (not want)
+        seen_failures += len(want)
+    assert seen_failures > 30
