@@ -62,15 +62,18 @@ class MeasurementRule:
     def __post_init__(self) -> None:
         if self.b1 not in BASES:
             raise IcmParseError(f"bad measurement basis {self.b1!r}")
-        cond = (self.q2, self.b2, self.b3)
-        if any(v is not None for v in cond) and any(v is None for v in cond):
-            raise IcmParseError("conditional rule needs q2, B2 and B3 together")
-        if self.q2 is not None:
+        if self.q2 is None:
+            if self.b2 is None and self.b3 is None:
+                return
+        elif self.b2 is not None and self.b3 is not None:
             if self.q2 == self.q1:
                 raise IcmParseError(f"rule conditions {self.q1} on itself")
-            for b in (self.b2, self.b3):
-                if b not in BASES:
-                    raise IcmParseError(f"bad measurement basis {b!r}")
+            if self.b2 not in BASES:
+                raise IcmParseError(f"bad measurement basis {self.b2!r}")
+            if self.b3 not in BASES:
+                raise IcmParseError(f"bad measurement basis {self.b3!r}")
+            return
+        raise IcmParseError("conditional rule needs q2, B2 and B3 together")
 
     @property
     def conditional(self) -> bool:
@@ -188,9 +191,14 @@ def violation_line(text: str, v: Violation) -> int | None:
 
 
 def parse_circuit(text: str) -> IcmCircuit:
-    """Parse the ``icm v1`` format; raises IcmParseError with line numbers."""
+    """Parse the ``icm v1`` format; raises IcmParseError with line numbers.
+
+    Each line is split once.  CNOT lines, the bulk of a large circuit,
+    are tested first and take one combined check of both ids.
+    """
     lines = text.splitlines()
-    header_seen = False
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
     declared_n: int | None = None
     qubits: list[QubitDecl] = []
     cnots: list[tuple[str, str]] = []
@@ -198,26 +206,33 @@ def parse_circuit(text: str) -> IcmCircuit:
     outputs: list[str] | None = None
     ids: set[str] = set()
 
-    def need(qid: str, ln: int) -> str:
-        if qid not in ids:
-            raise IcmParseError(f"undeclared qubit {qid!r}", ln)
-        return qid
-
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if not header_seen:
+    numbered = enumerate(lines, start=1)
+    for ln, raw in numbered:
+        tok = raw.split()
+        if tok:
             if tok != ["icm", "v1"]:
-                raise IcmParseError(f"expected 'icm v1' header, got {line!r}", ln)
-            header_seen = True
+                raise IcmParseError(f"expected 'icm v1' header, got {raw.strip()!r}", ln)
+            break
+    else:
+        raise IcmParseError("missing 'icm v1' header")
+
+    for ln, raw in numbered:
+        tok = raw.split()
+        if not tok:
             continue
         kw = tok[0]
-        if kw == "qubits":
-            if len(tok) != 2 or not tok[1].isdigit():
-                raise IcmParseError("usage: qubits <count>", ln)
-            declared_n = int(tok[1])
+        if kw == "cnot":
+            if len(tok) == 3:
+                _, c, t = tok
+                if c in ids and t in ids and c != t:
+                    cnots.append((c, t))
+                    continue
+            else:
+                raise IcmParseError("usage: cnot <control> <target>", ln)
+            _check_declared((c, t), ids, ln)
+            raise IcmParseError(f"cnot control equals target ({c})", ln)
+        elif kw == "measure":
+            rules.append(_parse_measure(tok, ln, ids))
         elif kw == "io":
             if len(tok) < 2:
                 raise IcmParseError("usage: io <id> [<id> ...]", ln)
@@ -239,26 +254,20 @@ def parse_circuit(text: str) -> IcmCircuit:
                 raise IcmParseError(f"unknown init basis {basis!r}", ln)
             ids.add(qid)
             qubits.append(QubitDecl(qid, kind, basis))
-        elif kw == "cnot":
-            if len(tok) != 3:
-                raise IcmParseError("usage: cnot <control> <target>", ln)
-            c, t = need(tok[1], ln), need(tok[2], ln)
-            if c == t:
-                raise IcmParseError(f"cnot control equals target ({c})", ln)
-            cnots.append((c, t))
-        elif kw == "measure":
-            rules.append(_parse_measure(tok, ln, need))
+        elif kw == "qubits":
+            if len(tok) != 2 or not tok[1].isdigit():
+                raise IcmParseError("usage: qubits <count>", ln)
+            declared_n = int(tok[1])
         elif kw == "out":
             if len(tok) < 2:
                 raise IcmParseError("usage: out <id> [<id> ...]", ln)
             if outputs is not None:
                 raise IcmParseError("second 'out' line; list every output on one", ln)
-            outputs = [need(q, ln) for q in tok[1:]]
+            outputs = tok[1:]
+            _check_declared(outputs, ids, ln)
         else:
             raise IcmParseError(f"unknown directive {kw!r}", ln)
 
-    if not header_seen:
-        raise IcmParseError("missing 'icm v1' header")
     if not qubits:
         raise IcmParseError("circuit declares no qubits")
     if declared_n is not None and declared_n != len(qubits):
@@ -271,28 +280,39 @@ def parse_circuit(text: str) -> IcmCircuit:
     )
 
 
-def _parse_measure(tok: list[str], ln: int, need, error=IcmParseError) -> MeasurementRule:
+def _check_declared(qids, ids: set[str], ln: int) -> None:
+    for qid in qids:
+        if qid not in ids:
+            raise IcmParseError(f"undeclared qubit {qid!r}", ln)
+
+
+def _parse_measure(
+    tok: list[str], ln: int, ids: set[str] | None = None, error=IcmParseError
+) -> MeasurementRule:
     """Parse a tokenised ``measure`` line of the ``icm v1`` or ``spec v1`` format.
 
-    ``need(qid, ln)`` checks or passes through a qubit id; every other
+    With ``ids``, a qubit id outside it raises IcmParseError; every other
     problem is raised as ``error(message, ln)``.
     """
-    def basis(b: str) -> Basis:
-        if b not in BASES:
-            raise error(f"unknown basis {b!r}", ln)
-        return b
-
     if len(tok) == 3:
-        return MeasurementRule(need(tok[1], ln), basis(tok[2]))
+        _, q1, b1 = tok
+        if ids is not None:
+            _check_declared((q1,), ids, ln)
+        if b1 not in BASES:
+            raise error(f"unknown basis {b1!r}", ln)
+        return MeasurementRule(q1, b1)
     # measure q1 B1 ? q2 B2 : q2 B3
     if len(tok) == 9 and tok[3] == "?" and tok[6] == ":":
-        q1 = need(tok[1], ln)
-        q2 = need(tok[4], ln)
-        if tok[7] != q2:
+        _, q1, b1, _, q2, b2, _, q2_again, b3 = tok
+        if ids is not None:
+            _check_declared((q1, q2), ids, ln)
+        if q2_again != q2:
             raise error(
-                f"conditional branches name different qubits ({tok[4]!r} vs {tok[7]!r})", ln
+                f"conditional branches name different qubits ({q2!r} vs {q2_again!r})", ln
             )
-        b1, b2, b3 = basis(tok[2]), basis(tok[5]), basis(tok[8])
+        for b in (b1, b2, b3):
+            if b not in BASES:
+                raise error(f"unknown basis {b!r}", ln)
         try:
             return MeasurementRule(q1, b1, q2, b2, b3)
         except IcmParseError as exc:
@@ -335,7 +355,7 @@ def teleport_rotation(c: IcmCircuit, q: QubitDecl) -> str:
 def validate_icm(c: IcmCircuit) -> list[Violation]:
     """Check ICM invariants; returns structured violations (empty == valid)."""
     out: list[Violation] = []
-    ids = {q.id for q in c.qubits}
+    ids = c._index  # one entry per distinct id
     if len(ids) != len(c.qubits):
         out.append(Violation("duplicate-id", "circuit", "duplicate qubit ids"))
 
@@ -347,6 +367,8 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
                 ("declare", q.id)))
 
     for i, (ctrl, tgt) in enumerate(c.cnots):
+        if ctrl in ids and tgt in ids and ctrl != tgt:
+            continue
         for qid in (ctrl, tgt):
             if qid not in ids:
                 out.append(Violation("undeclared", f"cnot[{i}]", f"unknown qubit {qid!r}"))

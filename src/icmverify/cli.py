@@ -17,13 +17,6 @@ from .circuit import (
     violation_line,
 )
 from .compiler import CompileError, compile_to_icm, parse_gates
-from .oracle import (
-    OracleError,
-    SizeCapError,
-    channel_choi,
-    channels_equal,
-    sample_verify,
-)
 from .specfmt import SpecParseError, derive_specification, parse_spec, serialize_spec
 from .transforms import TransformError, demote_rotated_measurement, dual_rewrite
 from .verifier import spec_diff, verify
@@ -91,6 +84,8 @@ def _cmd_spec_diff(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .oracle import channel_choi, channels_equal
+
     a = _load_circuit(args.circuit_a)
     b = _load_circuit(args.circuit_b)
     same = channels_equal(channel_choi(a), channel_choi(b), tol=args.tol)
@@ -116,6 +111,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sample_verify(args) -> int:
+    from .oracle import sample_verify
+
     c = _load_circuit(args.circuit)
     spec = parse_spec(_read(args.spec))
     report = verify(c, spec)
@@ -196,13 +193,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SizeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (IcmParseError, SpecParseError, CompileError, TransformError,
-            OracleError, OSError, KeyError) as e:
+            OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # only equiv and sample-verify import the dense oracle, and with it
+        # numpy, so its errors can be named only once it is loaded
+        oracle = sys.modules.get(f"{__package__}.oracle")
+        if oracle is None or not isinstance(e, oracle.OracleError):
+            raise
+        print(f"error: {e}", file=sys.stderr)
+        return 3 if isinstance(e, oracle.SizeCapError) else 2
 
 
 if __name__ == "__main__":

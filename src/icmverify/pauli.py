@@ -10,9 +10,7 @@ A list of r operators can also be held column-major, the layout of
 ``table.StabiliserTruthTable``: one x-bitset and one z-bitset per qubit,
 in which bit i belongs to operator i.  ``conjugate_columns`` moves such
 a list through a CNOT region at once, so that each CNOT costs a few
-big-int operations however many operators there are, and
-``letter_block`` writes the letters of every operator from the columns
-without building a single operator.
+big-int operations however many operators there are.
 
 The text codec works on whole bit-masks, not single letters:
 ``pauli_format`` writes ``x`` and ``z`` as binary digits, adds them as
@@ -32,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -128,19 +126,25 @@ def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 
 
 def conjugate_columns(
-    xs: list[int], zs: list[int], cnots: Iterable[tuple[int, int]]
+    xs: list[int],
+    zs: list[int],
+    cnots: Iterable[tuple[Hashable, Hashable]],
+    column: Mapping[Hashable, int] | Sequence[int],
 ) -> int:
     """Conjugate column-major operators through CNOTs applied in temporal order.
 
     ``xs[k]`` and ``zs[k]`` are the x and z bitsets of qubit k, bit i
-    belonging to operator i; both lists are updated in place.  Each CNOT
+    belonging to operator i; both lists are updated in place.  A CNOT
+    names its qubits as ``column`` does, which maps each to its k: a dict
+    of qubit ids, or ``range(n)`` for CNOTs given by k itself.  Each CNOT
     maps X_c -> X_c X_t and Z_t -> Z_c Z_t.  It flips the sign of an
     operator that has X on the control and Z on the target and whose X
     bit on the target equals its Z bit on the control.  Returns the
     bitset of operators whose sign flipped an odd number of times.
     """
     flips = 0
-    for c, t in cnots:
+    for a, b in cnots:
+        c, t = column[a], column[b]
         xc, zt = xs[c], zs[t]
         flips ^= xc & zt & ~(xs[t] ^ zs[c])
         xs[t] ^= xc
@@ -168,24 +172,6 @@ def _transpose(
         bits = "".join(map(format, reversed(words[top:top + 1024]), spec))
         entries = [e | int(bits[last - k::width], 2) << top for e, k in zip(entries, keep)]
     return entries
-
-
-def letter_block(xs: Sequence[int], zs: Sequence[int], r: int) -> str:
-    """The letters of r column-major operators, column-major too.
-
-    Character ``k * r + i`` is the letter of qubit k in operator i, so
-    ``block[i::r]`` is operator i's text.  As in ``pauli_format``, the
-    x and z digits of every column are added as bytes and mapped to
-    letters with one ``bytes.translate``.
-    """
-    if not r:
-        return ""
-    spec = repeat(f"0{r}b")
-    # the joined digits run from qubit n-1, operator r-1 down to qubit
-    # 0, operator 0, so the little-endian bytes of their sum run upwards
-    x = int.from_bytes("".join(map(format, reversed(xs), spec)).encode(), "big")
-    z = int.from_bytes("".join(map(format, reversed(zs), spec)).encode(), "big")
-    return (x + 2 * z).to_bytes(len(xs) * r, "little").translate(_CODE_LETTER).decode()
 
 
 # -- truth-table rows --------------------------------------------------------

@@ -6,12 +6,13 @@ table directly in roster columns, so that a spec file stands alone
 without the source circuit.
 
 The table block moves between text and the table's per-qubit column
-bitsets in bulk, never through per-row objects.  ``serialize_spec``
-writes the letters of many columns at once and cuts each row's text out
-of them with one strided slice (``StabiliserTruthTable.format``).
-``parse_spec`` joins the block's lines, cuts each qubit's letters out
-of the joined text with one strided slice and translates them to x and
-z digits; a line it cannot read that way goes through ``row_parse``,
+bitsets in bulk, never through per-row objects.  Both directions pack a
+block of rows eight to a byte: byte j*w + k holds, as its bit t, the bit
+of row 8j + t at place k of a w-byte row text.  ``serialize_spec`` packs
+the columns so and writes every eighth row with one ``bytes.translate``
+(``StabiliserTruthTable.format``).  ``parse_spec`` packs every eighth
+row's x digits and z digits so and reads each qubit's column as every
+w-th byte; a line it cannot read that way goes through ``row_parse``,
 which either normalises it or names what is wrong with it.
 """
 
@@ -26,7 +27,7 @@ from .circuit import (
     _parse_measure,
     validate_icm,
 )
-from .pauli import _X_DIGITS, _Z_DIGITS, PauliError, row_parse
+from .pauli import PauliError, row_parse
 from .table import StabiliserTruthTable, derive_truth_table
 
 
@@ -143,55 +144,101 @@ def serialize_spec(s: Specification) -> str:
     return "\n".join(out)
 
 
-def _plain_block(lines: list[str], n: int) -> str | None:
-    """The lines joined, if each reads ``s L...L -> L...L`` (a sign and
-    twice n letters); otherwise None."""
-    w, r = 2 * n + 6, len(lines)
-    if set(map(len, lines)) - {w}:
-        return None
-    block = "".join(lines)
-    plain = (
-        not block[::w].strip("+-")
-        and block[1::w] == block[n + 2::w] == block[n + 5::w] == " " * r
-        and block[n + 3::w] == "-" * r
-        and block[n + 4::w] == ">" * r
-        # the checks above leave only the 2n letter places for the letters
-        and sum(map(block.count, "IXYZ")) == 2 * n * r
-    )
-    return block if plain else None
+def _plain(lines: list[str], n: int) -> bool:
+    """Whether each line reads ``s L...L -> L...L``: a sign and twice n
+    letters, with single spaces around them and the arrow.
 
-
-def _read_table(entries: list[tuple[int, str]], n: int) -> StabiliserTruthTable:
-    """The table of the block's (line number, text) entries, all rows at once.
-
-    Rows go in blocks of 1024, which keeps the strided slices within the
-    processor caches and the temporary text small; on a 2-vCPU x86-64
-    virtual machine one block of 4800 rows of 4000 qubits took 1.2-1.4x
-    as long.
+    With n >= 1 such a line starts with its sign and ends with a letter,
+    so it holds no comment and no surrounding space to strip.
     """
-    w, r = 2 * n + 6, len(entries)
-    signs, xs, zs = 0, [0] * (2 * n), [0] * (2 * n)  # input qubits, then output
+    w, r = 2 * n + 6, len(lines)
+    if not n or set(map(len, lines)) - {w}:
+        return False
+    text = "".join(lines)
+    if not text.isascii():  # tested first: a lone surrogate cannot be encoded
+        return False
+    block = text.encode()
+    return (
+        not block[::w].strip(b"+-")
+        and block[1::w] == block[n + 2::w] == block[n + 5::w] == b" " * r
+        and block[n + 3::w] == b"-" * r
+        and block[n + 4::w] == b">" * r
+        # the checks above leave only the 2n letter places for the letters
+        and len(block.translate(None, b"IXYZ")) == 6 * r
+    )
+
+
+def _read_table(lines: list[str], first: int, n: int) -> StabiliserTruthTable:
+    """The table of a block's text lines, ``lines[0]`` being line ``first``.
+
+    A block whose every line is a plain row is read as it stands;
+    otherwise ``_plain_rows`` first drops its comments and blank lines and
+    rewrites or rejects its other rows.
+    """
+    table = _read_plain(lines, n)
+    if table is None:
+        table = _read_plain(_plain_rows(lines, first, n), n)
+    return table
+
+
+def _plain_rows(lines: list[str], first: int, n: int) -> list[str]:
+    """The block's rows as plain text: comments, blank lines and surrounding
+    space dropped, and any other row that ``row_parse`` reads rewritten."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=first):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if not _plain([text], n):
+            try:
+                text = row_parse(text, n).format()
+            except PauliError as exc:
+                raise SpecParseError(str(exc), lineno) from exc
+        rows.append(text)
+    return rows
+
+
+def _read_plain(rows: list[str], n: int) -> StabiliserTruthTable | None:
+    """The table of plain rows, all at once; None if a row is not plain.
+
+    Rows go in blocks of 1024, which keeps the temporary text small.  Each
+    block is transposed by ``_gather`` into bytes whose every w-th byte
+    from k on holds the bits of letter place k, eight rows to a byte.
+    The x bit of a sign place is its sign bit, so the signs come out as
+    place 0.
+    """
+    w, r = 2 * n + 6, len(rows)
+    places = (*range(2, n + 2), *range(n + 6, w))  # input qubits, then output
+    codes = bytes.maketrans(b"+- >IXYZ", b"\0\1\0\0\0\1\3\2")  # x + 2z
+    signs, xs, zs = 0, [0] * (2 * n), [0] * (2 * n)
     for top in range(0, r, 1024):
-        chunk = entries[top:top + 1024]
-        lines = [text for _, text in chunk]
-        block = _plain_block(lines, n)
-        if block is None:
-            for k, (lineno, text) in enumerate(chunk):
-                if _plain_block([text], n) is None:
-                    try:
-                        lines[k] = row_parse(text, n).format()
-                    except PauliError as exc:
-                        raise SpecParseError(str(exc), lineno) from exc
-            block = "".join(lines)
-        last = len(block) - w  # each slice runs from the block's last row up
-        signs |= int(block[last::-w].replace("+", "0").replace("-", "1"), 2) << top
-        bits = [
-            (int(letters.translate(_X_DIGITS), 2), int(letters.translate(_Z_DIGITS), 2))
-            for letters in (block[last + first + k::-w] for first in (2, n + 6) for k in range(n))
-        ]
-        xs = [c | x << top for c, (x, _) in zip(xs, bits)]
-        zs = [c | z << top for c, (_, z) in zip(zs, bits)]
+        chunk = rows[top:top + 1024]
+        if not _plain(chunk, n):
+            return None
+        x, z = _gather(["".join(chunk[t::8]).encode().translate(codes) for t in range(8)])
+        signs |= int.from_bytes(x[::w], "little") << top
+        xs = [c | int.from_bytes(x[k::w], "little") << top for c, k in zip(xs, places)]
+        zs = [c | int.from_bytes(z[k::w], "little") << top for c, k in zip(zs, places)]
     return StabiliserTruthTable.from_columns(n, r, xs[:n], zs[:n], xs[n:], zs[n:], signs)
+
+
+def _gather(groups: list[bytes]) -> tuple[bytes, bytes]:
+    """The x and the z bits packed eight rows to a byte: byte j*w + k
+    holds, as its bit t, the bit at place k of row 8j + t, where
+    ``groups[t]`` joins rows t, t + 8, ... of width w as codes x + 2z.
+
+    Each group read as one little-endian integer has its x bits at bit
+    0 of every byte and its z bits at bit 1, so masking, shifting group t
+    by t bits and ORing the eight packs them without a per-letter step.
+    """
+    size = len(groups[0])
+    ones = int.from_bytes(b"\x01" * size, "little")
+    x = z = 0
+    for t, group in enumerate(groups):
+        codes = int.from_bytes(group, "little")
+        x |= (codes & ones) << t
+        z |= (codes >> 1 & ones) << t
+    return x.to_bytes(size, "little"), z.to_bytes(size, "little")
 
 
 def parse_spec(text: str) -> Specification:
@@ -199,13 +246,20 @@ def parse_spec(text: str) -> Specification:
     io: list[str] = []
     inits: dict[str, str] = {}
     lines: dict[tuple[str, str], int] = {}  # (directive, qubit id) -> line
-    entries: list[tuple[int, str]] = []  # the table block's lines
     table: StabiliserTruthTable | None = None
     rules: list[MeasurementRule] = []
-    in_table = False
+    table_from: int | None = None  # index of an open table block's first line
     header_seen = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    text_lines = text.splitlines()
+    for lineno, raw in enumerate(text_lines, start=1):
+        if table_from is not None:
+            # a row starts with its sign, so only other lines can be the end
+            if raw.startswith(("+", "-")) or raw.split("#", 1)[0].strip() != "end":
+                continue
+            table = _read_table(text_lines[table_from:lineno - 1], table_from + 1, table_n)
+            table_from = None
+            continue
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -213,13 +267,6 @@ def parse_spec(text: str) -> Specification:
             if stripped != "spec v1":
                 raise SpecParseError("expected 'spec v1' header", lineno)
             header_seen = True
-            continue
-        if in_table:
-            if stripped == "end":
-                in_table = False
-                table = _read_table(entries, table_n)
-            else:
-                entries.append((lineno, stripped))
             continue
         parts = stripped.split()
         kw = parts[0]
@@ -245,12 +292,12 @@ def parse_spec(text: str) -> Specification:
                 raise SpecParseError("'table' before 'qubits'", lineno)
             if table is not None:
                 raise SpecParseError("duplicate table block", lineno)
-            in_table = True
+            table_from = lineno
             table_n = n
         elif kw == "measure":
             # ids are checked against the roster once the spec is built
             rules.append(
-                _parse_measure(parts, lineno, lambda qid, _ln: qid, SpecParseError)
+                _parse_measure(parts, lineno, None, SpecParseError)
             )
             for qid in rules[-1].measured_qubits():
                 lines.setdefault(("measure", qid), lineno)
@@ -259,8 +306,9 @@ def parse_spec(text: str) -> Specification:
 
     if n is None:
         raise SpecParseError("missing 'qubits' line")
-    if in_table:
-        _read_table(entries, table_n)  # a bad row is named before the missing end
+    if table_from is not None:
+        # a bad row is named before the missing end
+        _read_table(text_lines[table_from:], table_from + 1, table_n)
         raise SpecParseError("table block not closed with 'end'")
     try:
         return Specification(

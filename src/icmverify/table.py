@@ -37,7 +37,6 @@ from .pauli import (
     TableRow,
     _transpose,
     conjugate_columns,
-    letter_block,
     row_multiply,
 )
 
@@ -115,31 +114,50 @@ class StabiliserTruthTable:
         ]
 
     def format(self) -> str:
-        """One ``+ XI -> XX`` line per row, written from the columns."""
-        r = self.nrows
-        signs = format(self.signs, f"0{r}b")[::-1].replace("0", "+").replace("1", "-")
-        ins = _row_letters(self.in_x, self.in_z, r)
-        outs = _row_letters(self.out_x, self.out_z, r)
-        return "\n".join([f"{s} {a} -> {b}" for s, a, b in zip(signs, ins, outs)])
+        """One ``+ XI -> XX`` line per row, written from the columns.
+
+        Rows go in blocks of 1024, packed eight rows to a byte by
+        ``_pack``.  Summing bit t of the x bytes, twice that of the z bytes
+        and a code for each fixed character gives one character code per
+        byte, so that one ``bytes.translate`` writes rows t, t + 8, ... of
+        the block.
+        """
+        n, r = self.n, self.nrows
+        # a row's places: its sign, letters, separators and newline
+        xs = (self.signs, 0, *self.in_x, 0, 0, 0, 0, *self.out_x, 0)
+        zs = (0, 0, *self.in_z, 0, 0, 0, 0, *self.out_z, 0)
+        # code x + 2z at a letter, 4 + its sign bit at the sign, and 6 to 9
+        # for a space, the arrow's "-" and ">" and the newline
+        chars = bytes.maketrans(bytes(range(10)), b"IXZY+- ->\n")
+        fixed = b"\x04\x06" + bytes(n) + b"\x06\x07\x08\x06" + bytes(n) + b"\x09"
+        lines = [""] * r
+        for top in range(0, r, 1024):
+            rows = min(1024, r - top)
+            depth = -(-rows // 8)
+            x, z = _pack(xs, top, depth), _pack(zs, top, depth)
+            ones = int.from_bytes(b"\x01" * (depth * len(fixed)), "little")
+            base = int.from_bytes(fixed * depth, "little")
+            for t in range(min(8, rows)):
+                codes = (x >> t & ones) + ((z >> t & ones) << 1) + base
+                text = codes.to_bytes(depth * len(fixed), "little").translate(chars).decode()
+                lines[top + t:top + rows:8] = text.splitlines()[:len(range(t, rows, 8))]
+        return "\n".join(lines)
 
     def __str__(self) -> str:
         return self.format()
 
 
-def _row_letters(xs: Sequence[int], zs: Sequence[int], r: int) -> list[str]:
-    """The letters of each of r column-major operators.
+def _pack(cols: Sequence[int], top: int, depth: int) -> int:
+    """Rows ``top`` to ``top + 8 * depth`` of the columns, eight to a byte:
+    bit t of byte j*len(cols) + k is the bit of row top + 8j + t in
+    ``cols[k]``.
 
-    The letters of a group of columns are written at once and each
-    row's share is cut out with one strided slice.  Groups of 1024
-    columns keep those slices within the processor caches at any size;
-    on a 2-vCPU x86-64 virtual machine one block of 4000 columns by
-    4800 rows took 1.7x as long.
+    Each column gives ``depth`` bytes, and the byte matrix of one column
+    per row is transposed with one strided slice per byte row.
     """
-    groups = []
-    for g in range(0, len(xs), 1024):
-        block = letter_block(xs[g:g + 1024], zs[g:g + 1024], r)
-        groups.append([block[i::r] for i in range(r)])
-    return groups[0] if len(groups) == 1 else list(map("".join, zip(*groups)))
+    mask = (1 << 8 * depth) - 1
+    by_col = b"".join([(col >> top & mask).to_bytes(depth, "little") for col in cols])
+    return int.from_bytes(b"".join([by_col[j::depth] for j in range(depth)]), "little")
 
 
 def seed_rows(c: IcmCircuit) -> list[tuple[int, str, str, str]]:
@@ -174,13 +192,12 @@ def derive_truth_table(
     if columns is None:
         columns = [q.id for q in c.qubits]
     col = {qid: k for k, qid in enumerate(columns)}
-    pos = [col[q.id] for q in c.qubits]  # declaration index -> column
     seeds = seed_rows(c)
     xs, zs = [0] * n, [0] * n
-    for i, (qi, _qid, basis, _kind) in enumerate(seeds):
-        (xs if basis == "X" else zs)[pos[qi]] |= 1 << i
+    for i, (_qi, qid, basis, _kind) in enumerate(seeds):
+        (xs if basis == "X" else zs)[col[qid]] |= 1 << i
     in_x, in_z = tuple(xs), tuple(zs)
-    signs = conjugate_columns(xs, zs, [(pos[a], pos[b]) for a, b in c.cnot_indices()])
+    signs = conjugate_columns(xs, zs, c.cnots, col)
     return StabiliserTruthTable.from_columns(
         n, len(seeds), in_x, in_z, xs, zs, signs,
         [(qid, basis) for _qi, qid, basis, _kind in seeds],

@@ -123,7 +123,7 @@ def verify(candidate: IcmCircuit, spec: Specification) -> VerificationReport:
     col = {qid: k for k, qid in enumerate(spec.roster())}
     xs, zs = list(t.in_x), list(t.in_z)
     # table inputs carry no phase, so a row's actual sign is its flip
-    flips = conjugate_columns(xs, zs, [(col[c], col[q]) for c, q in candidate.cnots])
+    flips = conjugate_columns(xs, zs, candidate.cnots, col)
     wrong = flips ^ t.signs
     for got, want in zip(xs + zs, t.out_x + t.out_z):
         wrong |= got ^ want

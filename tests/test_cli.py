@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from icmverify import parse_circuit, parse_spec
@@ -202,6 +206,21 @@ def test_sample_verify_structural_failure_reports_verify(capsys, t_spec_file):
     assert main(["sample-verify", fx("t_mutated.icm"), t_spec_file,
                  "--shots", "100", "--seed", "1"]) == 1
     assert "criterion2-table" in capsys.readouterr().out
+
+
+def test_sample_verify_oracle_error_exits_2(capsys, t_spec_file):
+    assert main(["sample-verify", fx("t.icm"), t_spec_file, "--shots", "-1"]) == 2
+    assert "error: shots must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Only equiv and sample-verify load the dense oracle and numpy."""
+    probe = "import sys, icmverify.cli\nprint('numpy' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "False\n"
 
 
 # --- parser object -----------------------------------------------------------

@@ -152,7 +152,7 @@ def conjugate_batch(ops, cnots):
     n = ops[0].n
     xs = [sum(((p.x >> k) & 1) << i for i, p in enumerate(ops)) for k in range(n)]
     zs = [sum(((p.z >> k) & 1) << i for i, p in enumerate(ops)) for k in range(n)]
-    flips = conjugate_columns(xs, zs, cnots)
+    flips = conjugate_columns(xs, zs, cnots, range(n))
     return [
         PauliOperator(
             n,
@@ -178,7 +178,7 @@ def test_batch_matches_scalar():
 def test_batch_keeps_input_phase_and_rejects_mixed_sizes():
     ops = [pauli_parse("-XI"), pauli_parse("iYZ")]
     assert conjugate_batch(ops, [(0, 1)]) == [conjugate_circuit(p, [(0, 1)]) for p in ops]
-    assert conjugate_columns([], [], []) == 0
+    assert conjugate_columns([], [], [], range(0)) == 0
     with pytest.raises(PauliError):
         StabiliserTruthTable(2, [row_parse("+ X -> X"), row_parse("+ XI -> XI")])
 

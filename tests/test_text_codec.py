@@ -137,6 +137,84 @@ def test_a_bad_row_in_a_spec_names_its_line_and_column():
     assert str(exc.value) == f"line {k + 1}: bad Pauli letter 'Q' at column 3 of 'ZZQ'"
 
 
+ROW = "+ IZI -> ZZI"  # places 0, 1, 5, 6, 7 and 8 are the sign and separators
+LETTER_PLACES = (2, 3, 4, 9, 10, 11)
+
+
+@pytest.mark.parametrize(
+    "place, char",
+    [(2, "\ud800"), (10, "\udfff"), (3, "\uff38"), (9, "\u0130"), (4, "x"), (11, "z")]
+    + [(k, "\t") for k in LETTER_PLACES]
+    + [(0, "Q"), (0, "X")] + [(k, c) for k in (1, 5, 6, 7, 8) for c in "QX#"],
+)
+@pytest.mark.parametrize("rows_before", [0, 1500])
+def test_a_bad_table_line_raises_a_spec_error_naming_its_line(place, char, rows_before):
+    """A lone surrogate, a non-ASCII or lowercase letter, a tab in a letter
+    place or any broken sign or separator fails the bulk letter check,
+    and the line then gets ``row_parse``'s message, never a traceback."""
+    lines = serialize_spec(derive_specification(load_fixture("t.icm"))).splitlines()
+    k = lines.index(ROW)
+    lines[k:k] = [ROW] * rows_before  # puts the bad row in the second block
+    bad = ROW[:place] + char + ROW[place + 1:]
+    lines[k + rows_before] = bad
+    lineno = k + rows_before + 1
+    with pytest.raises(PauliError) as want:
+        row_parse(bad.split("#", 1)[0].strip(), 3)
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec("\n".join(lines))
+    assert exc.value.line == lineno
+    assert str(exc.value) == f"line {lineno}: {want.value}"
+
+
+@st.composite
+def table_blocks(draw):
+    """The lines of a table block: plain rows, and rows with comments,
+    surrounding space, blank or comment lines around them, a spacing that
+    ``row_parse`` normalises, or one character replaced."""
+    n = draw(st.sampled_from((1, 2, 5, 40)))
+    lines = []
+    for row in draw(st.lists(rows(n), max_size=20)):
+        text = row.format()
+        kind = draw(st.integers(0, 7))
+        if kind == 1:
+            text = "  " + text + "\t# note"
+        elif kind == 2:
+            text = text.replace(" -> ", "->")
+        elif kind == 3:
+            lines.append(draw(st.sampled_from(["", "   ", "# note"])))
+        elif kind == 4:
+            k = draw(st.integers(0, len(text) - 1))
+            text = text[:k] + draw(st.sampled_from("xQ\t#\u00e9-")) + text[k + 1:]
+        lines.append(text)
+    return n, lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_blocks())
+def test_a_table_block_reads_as_row_parse_reads_each_line(case):
+    """The bulk reader against the per-line reference: strip each line's
+    comment and space, skip it if blank, else ``row_parse`` it."""
+    n, lines = case
+    head = ["spec v1", f"qubits {n}", "io " + " ".join(f"q{k}" for k in range(n)), "table"]
+    want_rows = []
+    for lineno, raw in enumerate(lines, start=len(head) + 1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            want_rows.append(row_parse(text, n))
+        except PauliError as exc:
+            want = ("error", lineno, f"line {lineno}: {exc}")
+            break
+    else:
+        want = ("ok", StabiliserTruthTable(n, want_rows))
+    try:
+        got = ("ok", parse_spec("\n".join(head + lines + ["end", ""])).table)
+    except SpecParseError as exc:
+        got = ("error", exc.line, str(exc))
+    assert got == want
+
+
 @st.composite
 def column_tables(draw):
     n = draw(st.sampled_from((1, 63, 64, 65)))
