@@ -68,7 +68,7 @@ def _cmd_derive_spec(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cand = parse_circuit(_read(args.circuit))
+    cand = _load_circuit(args.circuit)
     spec = parse_spec(_read(args.spec))
     report = verify(cand, spec)
     print(report.format())
@@ -119,9 +119,8 @@ def _cmd_sample_verify(args) -> int:
     if not report.overall:
         print(report.format())
         return 1
-    ok = sample_verify(c, spec.table, shots=args.shots, seed=args.seed)
-    print(_records([("sampled", "pass" if ok else "fail"),
-                    ("shots", str(args.shots))]))
+    ok = sample_verify(c, spec.table)
+    print(_records([("sampled", "pass" if ok else "fail")]))
     return 0 if ok else 1
 
 
@@ -179,11 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify, then check each row's exact expectation densely")
     p.add_argument("circuit")
     p.add_argument("spec")
-    p.add_argument("--shots", type=int, default=100,
-                   help="0 skips the dense check (a vacuous pass); any positive count "
-                        "runs the same exact check")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for old scripts; has no effect, the check is exact")
     p.set_defaults(func=_cmd_sample_verify)
 
     return ap

@@ -141,7 +141,6 @@ def _v(var: str) -> _Form:
 @dataclass(frozen=True)
 class CompileResult:
     circuit: IcmCircuit
-    out_ports: tuple[str, ...]  # carrier of each logical qubit, in order
     x_forms: tuple[_Form, ...]
     z_forms: tuple[_Form, ...]
     exact: bool = True  # False when compiled without corrections
@@ -224,7 +223,6 @@ def compile_to_icm(
     return CompileResult(
         IcmCircuit(tuple(em.qubits), tuple(em.cnots), tuple(em.rules),
                    outputs=tuple(carriers)),
-        tuple(carriers),
         tuple(xf),
         tuple(zf),
         exact=corrections,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -317,7 +316,7 @@ def oracle_truth_table(c: IcmCircuit) -> StabiliserTruthTable:
     inv[perm] = np.arange(dim)
 
     rows = []
-    for qi, qid, basis, _kind in seed_rows(c):
+    for qi, _qid, basis, _kind in seed_rows(c):
         if basis == "X":
             p = PauliOperator(n, 1 << qi, 0)
         else:
@@ -355,7 +354,7 @@ def oracle_truth_table(c: IcmCircuit) -> StabiliserTruthTable:
             col_val, sign * fit_phases, atol=1e-9
         ):
             raise OracleError("pauli fit failed verification")
-        rows.append(TableRow(p, q, sign, provenance=(qid, basis)))
+        rows.append(TableRow(p, q, sign))
     return StabiliserTruthTable(n, tuple(rows))
 
 
@@ -363,28 +362,17 @@ def oracle_truth_table(c: IcmCircuit) -> StabiliserTruthTable:
 # sampling verification
 
 
-def sample_verify(
-    c: IcmCircuit,
-    table: StabiliserTruthTable,
-    shots: int = 100,
-    seed: int | None = None,
-) -> bool:
+def sample_verify(c: IcmCircuit, table: StabiliserTruthTable) -> bool:
     """Check each table row on the dense state its seed prepares.
 
     For a row P -> s*Q the seed qubit is prepared in the +1 eigenstate of
     its single-qubit input letter, all other io qubits in |0>, ancillae
     per their declared inits; after the CNOT region the state must be
     stabilised by s*Q, so the check is the exact expectation <Q> = s.  A
-    state that passes returns s on every Q-measurement, so sampling could
-    not change the verdict: ``shots`` only selects the vacuous shots=0
-    pass (with a warning) and ``seed`` has no effect.
+    state that passes returns s on every Q-measurement, so drawing shots
+    could not change the verdict.
     """
     _check_size(c.n)
-    if shots < 0:
-        raise OracleError(f"shots must be >= 0, got {shots}")
-    if shots == 0:
-        warnings.warn("sample_verify called with shots=0; result is vacuous")
-        return True
     for row in table.rows:
         seed_q = None
         for k in range(c.n):

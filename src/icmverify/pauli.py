@@ -28,7 +28,7 @@ up between output product and input product when rows are multiplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -181,13 +181,11 @@ class TableRow:
     """A stabiliser truth-table row ``sign * (input -> output)``.
 
     Both operators are canonical (phase 0); ``sign`` is +1 or -1.
-    ``provenance`` optionally records the seeding qubit and basis.
     """
 
     input: PauliOperator
     output: PauliOperator
     sign: int = 1
-    provenance: tuple[str, str] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.input.n != self.output.n:

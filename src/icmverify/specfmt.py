@@ -98,8 +98,8 @@ def permute_table(
 ) -> StabiliserTruthTable:
     """Move column ``perm[k]`` of every row to column ``k``.
 
-    Each of the four column lists is reordered by ``perm``; rows,
-    signs and provenance stay as they are.  The identity permutation
+    Each of the four column lists is reordered by ``perm``; rows and
+    signs stay as they are.  The identity permutation
     returns ``t`` itself.
     """
     if list(perm) == list(range(t.n)):
@@ -107,7 +107,7 @@ def permute_table(
     return StabiliserTruthTable.from_columns(
         t.n, t.nrows,
         *([cols[k] for k in perm] for cols in (t.in_x, t.in_z, t.out_x, t.out_z)),
-        t.signs, t.provenance,
+        t.signs,
     )
 
 
@@ -117,15 +117,10 @@ def derive_specification(c: IcmCircuit) -> Specification:
         raise SpecParseError(
             "circuit fails ICM validation: " + "; ".join(v.message for v in violations)
         )
-    io = list(c.io_ids())
-    anc = [q.id for q in c.qubits if q.kind != "io"]
-    table = derive_truth_table(c, io + anc)
+    io = c.io_ids()
+    table = derive_truth_table(c, io + c.ancilla_ids())
     inits = {q.id: q.init for q in c.qubits if q.kind != "io"}
-    anc_set = set(anc)
-    rules = tuple(
-        r for r in c.rules if all(q in anc_set for q in r.measured_qubits())
-    )
-    return Specification(c.n, tuple(io), inits, table, rules)
+    return Specification(c.n, io, inits, table, c.spec_rules())
 
 
 def serialize_spec(s: Specification) -> str:

@@ -26,7 +26,7 @@ CNOT conjugation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -40,8 +40,6 @@ from .pauli import (
     row_multiply,
 )
 
-Provenance = tuple[str, str] | None
-
 
 @dataclass(frozen=True, init=False)
 class StabiliserTruthTable:
@@ -49,7 +47,7 @@ class StabiliserTruthTable:
 
     ``StabiliserTruthTable(n, rows)`` builds one from ``TableRow``s;
     ``from_columns`` takes the bitsets themselves.  Tables are equal
-    when their rows are equal in order, provenance aside.
+    when their rows are equal in order.
     """
 
     n: int
@@ -59,7 +57,6 @@ class StabiliserTruthTable:
     out_x: tuple[int, ...]
     out_z: tuple[int, ...]
     signs: int  # bit i set: row i has sign -1
-    provenance: tuple[Provenance, ...] | None = field(compare=False, repr=False)
 
     def __init__(self, n: int, rows: Iterable[TableRow] = ()) -> None:
         rows = tuple(rows)
@@ -69,7 +66,7 @@ class StabiliserTruthTable:
                  [row.output.x for row in rows], [row.output.z for row in rows])
         cols = [tuple(_transpose(words, n)) if rows else (0,) * n for words in parts]
         signs = sum(1 << i for i, row in enumerate(rows) if row.sign == -1)
-        self._fill(n, len(rows), *cols, signs, tuple(row.provenance for row in rows))
+        self._fill(n, len(rows), *cols, signs)
         self.__dict__["rows"] = rows
 
     @classmethod
@@ -82,12 +79,10 @@ class StabiliserTruthTable:
         out_x: Sequence[int],
         out_z: Sequence[int],
         signs: int = 0,
-        provenance: Sequence[Provenance] | None = None,
     ) -> "StabiliserTruthTable":
         """A table of ``nrows`` rows from its column bitsets, kept as given."""
         t = cls.__new__(cls)
-        t._fill(n, nrows, tuple(in_x), tuple(in_z), tuple(out_x), tuple(out_z), signs,
-                None if provenance is None else tuple(provenance))
+        t._fill(n, nrows, tuple(in_x), tuple(in_z), tuple(out_x), tuple(out_z), signs)
         return t
 
     def _fill(self, *values) -> None:
@@ -104,12 +99,11 @@ class StabiliserTruthTable:
         n, r, signs = self.n, self.nrows, self.signs
         if not index:
             return []
-        prov = self.provenance or (None,) * r
         ix, iz, ox, oz = (_transpose(cols, r, index)
                           for cols in (self.in_x, self.in_z, self.out_x, self.out_z))
         return [
             TableRow(PauliOperator(n, a, b), PauliOperator(n, c, d),
-                     -1 if signs >> i & 1 else 1, prov[i])
+                     -1 if signs >> i & 1 else 1)
             for i, a, b, c, d in zip(index, ix, iz, ox, oz)
         ]
 
@@ -198,10 +192,7 @@ def derive_truth_table(
         (xs if basis == "X" else zs)[col[qid]] |= 1 << i
     in_x, in_z = tuple(xs), tuple(zs)
     signs = conjugate_columns(xs, zs, c.cnots, col)
-    return StabiliserTruthTable.from_columns(
-        n, len(seeds), in_x, in_z, xs, zs, signs,
-        [(qid, basis) for _qi, qid, basis, _kind in seeds],
-    )
+    return StabiliserTruthTable.from_columns(n, len(seeds), in_x, in_z, xs, zs, signs)
 
 
 def _row_key(row: TableRow, n: int) -> int:

@@ -43,7 +43,7 @@ def dual_rewrite(c: IcmCircuit) -> IcmCircuit:
             "dual_rewrite needs a valid ICM circuit: "
             + "; ".join(v.message for v in violations)
         )
-    anc = {q.id for q in c.qubits if q.kind != "io"}
+    anc = set(c.ancilla_ids())
     for rule in c.rules:
         if rule.conditional and (rule.q1 in anc or rule.q2 in anc):
             raise TransformError(

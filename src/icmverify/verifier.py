@@ -31,14 +31,9 @@ class RowCheck:
     actual: PauliOperator
     actual_sign: int
 
-    @property
-    def passed(self) -> bool:
-        return self.actual == self.row.output and self.actual_sign == self.row.sign
-
     def describe(self) -> str:
-        verdict = "ok" if self.passed else "MISMATCH"
         got = ("+" if self.actual_sign == 1 else "-") + pauli_format(self.actual)
-        return f"{self.row.format()}  got {got}  [{verdict}]"
+        return f"{self.row.format()}  got {got}  [MISMATCH]"
 
 
 @dataclass
@@ -67,8 +62,7 @@ class VerificationReport:
             out.append(f"  init-mismatch: {m}")
         out.append("criterion2-table: " + ("pass" if self.table_ok else "fail"))
         for rc in self.row_checks:
-            if not rc.passed:
-                out.append("  row: " + rc.describe())
+            out.append("  row: " + rc.describe())
         out.append("criterion3-rules: " + ("pass" if self.rules_ok else "fail"))
         if self.rules_divergence is not None:
             out.append(f"  first-divergence: rule {self.rules_divergence}")
@@ -87,7 +81,7 @@ def _roster_check(candidate: IcmCircuit, spec: Specification) -> str | None:
             f"io qubits differ: candidate {sorted(cand_io)}, "
             f"spec {sorted(spec.io_ids)}"
         )
-    cand_anc = {q.id for q in candidate.qubits if q.kind != "io"}
+    cand_anc = set(candidate.ancilla_ids())
     if cand_anc != set(spec.ancilla_order):
         return (
             f"ancillae differ: candidate {sorted(cand_anc)}, "
@@ -137,18 +131,18 @@ def verify(candidate: IcmCircuit, spec: Specification) -> VerificationReport:
         ]
 
     # criterion 3: measurement rules, order-sensitive
-    anc = {q.id for q in candidate.qubits if q.kind != "io"}
-    cand_rules = [
-        r for r in candidate.rules
-        if all(q in anc for q in r.measured_qubits())
-    ]
-    report.rules_ok = tuple(cand_rules) == tuple(spec.rules)
+    cand_rules = candidate.spec_rules()
+    report.rules_ok = cand_rules == tuple(spec.rules)
     if not report.rules_ok:
-        limit = min(len(cand_rules), len(spec.rules))
-        report.rules_divergence = next(
-            (i for i in range(limit) if cand_rules[i] != spec.rules[i]), limit
-        )
+        report.rules_divergence = _first_divergence(cand_rules, spec.rules)
     return report
+
+
+def _first_divergence(a: tuple, b: tuple) -> int:
+    """The index of the first rule where ``a`` and ``b`` differ, or the
+    shorter length when one is a prefix of the other."""
+    limit = min(len(a), len(b))
+    return next((i for i in range(limit) if a[i] != b[i]), limit)
 
 
 @dataclass
@@ -180,9 +174,6 @@ def spec_diff(a: Specification, b: Specification) -> SpecDiff:
         if not table_equal(a.table, bt):
             msgs.append("truth tables span different groups")
     if tuple(a.rules) != tuple(b.rules):
-        limit = min(len(a.rules), len(b.rules))
-        idx = next(
-            (i for i in range(limit) if a.rules[i] != b.rules[i]), limit
-        )
+        idx = _first_divergence(a.rules, b.rules)
         msgs.append(f"measurement rules differ at rule {idx}")
     return SpecDiff(not msgs, msgs)

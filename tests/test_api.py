@@ -1,6 +1,8 @@
 """The package's public names, pinned so that none is added or comes back
 without a deliberate edit here."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -30,6 +32,24 @@ PUBLIC = {
 
 def test_public_names_are_pinned():
     assert set(icmverify.__all__) == PUBLIC
+
+
+def test_removed_fields_and_parameters_stay_removed():
+    """A table row is only ``sign * input -> output``; no record type or
+    oracle call carries state or options that no verdict reads."""
+    fields = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (icmverify.TableRow, icmverify.StabiliserTruthTable,
+                    icmverify.CompileResult, icmverify.verifier.RowCheck)
+    }
+    assert fields == {
+        "TableRow": ["input", "output", "sign"],
+        "StabiliserTruthTable": ["n", "nrows", "in_x", "in_z", "out_x", "out_z", "signs"],
+        "CompileResult": ["circuit", "x_forms", "z_forms", "exact"],
+        "RowCheck": ["row", "actual", "actual_sign"],
+    }
+    assert not hasattr(icmverify.verifier.RowCheck, "passed")  # every RowCheck fails
+    assert list(inspect.signature(icmverify.sample_verify).parameters) == ["c", "table"]
 
 
 def test_import_leaves_numpy_unloaded_until_an_oracle_name_is_used():

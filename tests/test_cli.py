@@ -195,22 +195,33 @@ def test_compile_boundary_error(tmp_path, capsys):
 
 
 def test_sample_verify_pass(capsys, t_spec_file):
-    assert main(["sample-verify", fx("t.icm"), t_spec_file,
-                 "--shots", "100", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "sampled: pass" in out
-    assert "shots: 100" in out
+    assert main(["sample-verify", fx("t.icm"), t_spec_file]) == 0
+    assert capsys.readouterr().out == "sampled: pass\n"
 
 
 def test_sample_verify_structural_failure_reports_verify(capsys, t_spec_file):
-    assert main(["sample-verify", fx("t_mutated.icm"), t_spec_file,
-                 "--shots", "100", "--seed", "1"]) == 1
+    assert main(["sample-verify", fx("t_mutated.icm"), t_spec_file]) == 1
     assert "criterion2-table" in capsys.readouterr().out
 
 
-def test_sample_verify_oracle_error_exits_2(capsys, t_spec_file):
-    assert main(["sample-verify", fx("t.icm"), t_spec_file, "--shots", "-1"]) == 2
-    assert "error: shots must be >= 0" in capsys.readouterr().err
+def test_sample_verify_size_cap_exits_3(tmp_path, capsys):
+    wide = tmp_path / "wide.icm"
+    wide.write_text("icm v1\nio " + " ".join(f"q{i}" for i in range(13)) + "\n")
+    spec = tmp_path / "wide.spec"
+    assert main(["derive-spec", str(wide), "-o", str(spec)]) == 0
+    assert main(["sample-verify", str(wide), str(spec)]) == 3
+    assert "error: dense oracle capped at" in capsys.readouterr().err
+
+
+def test_sample_verify_oracle_error_exits_2(monkeypatch, capsys, t_spec_file):
+    from icmverify import oracle
+
+    def fail(c, table):
+        raise oracle.OracleError("conjugated operator is not a Pauli")
+
+    monkeypatch.setattr(oracle, "sample_verify", fail)
+    assert main(["sample-verify", fx("t.icm"), t_spec_file]) == 2
+    assert capsys.readouterr().err == "error: conjugated operator is not a Pauli\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -232,6 +243,8 @@ def test_build_parser_subcommands():
     assert args.command == "verify"
     with pytest.raises(SystemExit):
         ap.parse_args(["no-such-command"])
+    with pytest.raises(SystemExit):
+        ap.parse_args(["sample-verify", "a.icm", "b.spec", "--shots", "1"])
 
 
 # --- malformed input -----------------------------------------------------------
@@ -284,6 +297,11 @@ measure a Y
         pytest.param("parse", ".icm",
                      "icm v1\nio q1 a\nancilla b teleport init A\nmeasure b Y\n", 3,
                      "doubly-rotated [b]: teleport ancilla has rotated init A", id="doubly-rotated"),
+        pytest.param("verify", ".icm",
+                     "icm v1\nio q1\nancilla a teleport init Z\nancilla b teleport init X\n"
+                     "measure b X\nmeasure a X\nmeasure a Z\n", 7,
+                     "remeasured [a]: qubit measured by rule 1 and again by rule 2",
+                     id="verify-remeasured"),
     ],
 )
 def test_malformed_input_of_every_format_exits_2_naming_its_line(
@@ -292,6 +310,12 @@ def test_malformed_input_of_every_format_exits_2_naming_its_line(
     path = tmp_path / ("input" + suffix)
     path.write_text(text)
     args = [command, str(path)] + ([str(path)] if command == "spec-diff" else [])
+    if command == "verify":
+        # checked against the spec of the candidate without its last line
+        valid = tmp_path / "valid.icm"
+        valid.write_text("".join(text.splitlines(keepends=True)[:-1]))
+        args.append(str(tmp_path / "valid.spec"))
+        assert main(["derive-spec", str(valid), "-o", args[-1]]) == 0
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ")

@@ -75,7 +75,7 @@ def test_empty_gate_list_compiles_to_wires():
     res = compile_to_icm(GateList(3, ()))
     assert res.circuit.n == 3
     assert not res.circuit.cnots and not res.circuit.rules
-    assert res.out_ports == ("q1", "q2", "q3")
+    assert res.circuit.outputs == ("q1", "q2", "q3")
     assert res.frame_for({}) == "III"
 
 
@@ -173,7 +173,7 @@ def test_uncorrected_rotated_init_t_shape():
     assert len(anc) == 1 and anc[0].init == "A"
     assert c.cnots == ((anc[0].id, "q1"),)
     assert c.rules == tuple([type(c.rules[0])("q1", "Z")])
-    assert res.out_ports == (anc[0].id,)
+    assert res.circuit.outputs == (anc[0].id,)
 
 
 def test_uncorrected_rotated_meas_t_shape():

@@ -76,7 +76,6 @@ def test_spec_table_is_the_declaration_table_in_roster_columns(seed):
     spec = derive_specification(c)
     want = permute_table(derive_truth_table(c), [c.index(q) for q in spec.roster()])
     assert spec.table.rows == want.rows
-    assert [r.provenance for r in spec.table.rows] == [r.provenance for r in want.rows]
 
 
 def test_permute_table_moves_columns():

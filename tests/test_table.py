@@ -96,7 +96,7 @@ def test_distillation_rows_excluded():
         cnots=(("w", "d"),),
     )
     t = derive_truth_table(c)
-    assert [r.provenance for r in t.rows] == [("w", "X"), ("w", "Z")]
+    assert [str(r.input) for r in t.rows] == ["XI", "ZI"]
 
 
 def _tab(n, rows):
