@@ -24,10 +24,15 @@ Basis = str  # one of "X", "Z", "Y", "A"
 
 
 class IcmParseError(ValueError):
-    """Parse failure; carries the 1-based line number when known."""
+    """Parse failure; carries the 1-based line number when known.
 
-    def __init__(self, message: str, line: int | None = None):
+    An ``IcmCircuit`` that breaks ICM invariants raises it with the
+    ``Violation`` list as ``violations``; other errors leave it empty.
+    """
+
+    def __init__(self, message: str, line: int | None = None, violations=None):
         self.line = line
+        self.violations: list[Violation] = violations or []
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
 
@@ -90,6 +95,9 @@ class MeasurementRule:
 
 @dataclass(frozen=True)
 class IcmCircuit:
+    """A circuit in ICM form: the constructor runs ``validate_icm`` once and
+    raises IcmParseError with its violations, so no consumer checks again."""
+
     qubits: tuple[QubitDecl, ...]
     cnots: tuple[tuple[str, str], ...] = ()
     rules: tuple[MeasurementRule, ...] = ()
@@ -99,19 +107,19 @@ class IcmCircuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {q.id: i for i, q in enumerate(self.qubits)})
+        violations = validate_icm(self)
+        if violations:
+            raise IcmParseError("; ".join(map(str, violations)), violations=violations)
 
     @property
     def n(self) -> int:
         return len(self.qubits)
 
     def qubit(self, qid: str) -> QubitDecl:
-        return self.qubits[self.index(qid)]
+        return self.qubits[self._index[qid]]
 
     def index(self, qid: str) -> int:
-        try:
-            return self._index[qid]
-        except KeyError:
-            raise KeyError(f"undeclared qubit {qid!r}") from None
+        return self._index[qid]
 
     # These build a list first: tuple() of a generator allocates ten slots
     # and then shrinks the tuple, a churn that raised the many_small
@@ -362,7 +370,9 @@ def teleport_rotation(c: IcmCircuit, q: QubitDecl) -> str:
 
 
 def validate_icm(c: IcmCircuit) -> list[Violation]:
-    """Check ICM invariants; returns structured violations (empty == valid)."""
+    """Check ICM invariants; returns structured violations (empty == valid).
+
+    ``IcmCircuit`` raises them as it is built, so a built circuit has none."""
     out: list[Violation] = []
     ids = c._index  # one entry per distinct id
     if len(ids) != len(c.qubits):
@@ -415,10 +425,12 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
                     ("measure", i)))
             conditioned[r.q2] = i
 
-    # outputs are distinct qubits that no rule measures
+    # outputs are distinct declared qubits that no rule measures
     listed: set[str] = set()
     for qid in c.outputs or ():
-        if qid in seen_q1 or qid in conditioned:
+        if qid not in ids:
+            out.append(Violation("undeclared", "out", f"unknown qubit {qid!r}"))
+        elif qid in seen_q1 or qid in conditioned:
             out.append(Violation("bad-output", qid, "output qubit is measured", ("out", qid)))
         elif qid in listed:
             out.append(Violation("bad-output", qid, "output qubit listed twice", ("out", qid)))

@@ -13,7 +13,6 @@ from .circuit import (
     IcmParseError,
     parse_circuit,
     serialize_circuit,
-    validate_icm,
     violation_line,
 )
 from .compiler import CompileError, compile_to_icm, parse_gates
@@ -23,8 +22,14 @@ from .verifier import spec_diff, verify
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the text before the bad byte, split as the parsers split it
+        line = len((data[:e.start].decode("utf-8") + ".").splitlines())
+        raise IcmParseError(f"{path} is not UTF-8 text ({e.reason})", line) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -37,14 +42,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_circuit(path: str):
     text = _read(path)
-    c = parse_circuit(text)
-    violations = validate_icm(c)
-    if violations:
-        located = [(violation_line(text, v), v) for v in violations]
+    try:
+        return parse_circuit(text)
+    except IcmParseError as e:
+        if not e.violations:
+            raise
+        located = [(violation_line(text, v), v) for v in e.violations]
         raise IcmParseError("; ".join(
             str(v) if ln is None else f"line {ln}: {v}" for ln, v in located
-        ))
-    return c
+        )) from None
 
 
 def _records(pairs: list[tuple[str, str]]) -> str:

@@ -91,7 +91,9 @@ def _branches(
     K is the branch's unnormalised Kraus operator, a (2**len(keep), 2**k)
     matrix from the io qubits' computational inputs (first io qubit most
     significant) to the qubits of ``keep``, which must be exactly the
-    unmeasured qubits (``keep[0]`` most significant).  The CNOT region runs
+    unmeasured qubits (``keep[0]`` most significant).  A valid ICM circuit
+    measures each qubit at most once, so the measured qubits and ``keep``
+    together name every qubit once.  The CNOT region runs
     once, with the 2**k inputs as a batch axis and the ancillae in their
     init kets.  Each branch then contracts every measured qubit with the
     bra of its outcome; a conditional rule's partner takes the basis its
@@ -104,13 +106,7 @@ def _branches(
         plan.append((r.q1, r.b1, r.b1, r.q1))
         if r.conditional:
             plan.append((r.q2, r.b2, r.b3, r.q1))
-    measured = [qid for qid, *_ in plan]
-    twice = [qid for i, qid in enumerate(measured) if qid in measured[:i]]
-    if twice:
-        raise OracleError(f"qubit {twice[0]!r} measured twice in one branch")
-    axes = [c.index(qid) for qid in measured + list(keep)]
-    if sorted(axes) != list(range(c.n)):
-        raise OracleError(f"kept qubits {list(keep)} are not the unmeasured qubits")
+    axes = [c.index(qid) for qid, *_ in plan] + [c.index(qid) for qid in keep]
     eye = np.eye(2, dtype=complex)
     psi = _region(c, [eye if q.kind == "io" else KET[q.init][:, None] for q in c.qubits])
     # measured qubits lead, in rule order, so each bra contracts axis 0

@@ -25,7 +25,6 @@ from .circuit import (
     IcmCircuit,
     MeasurementRule,
     _parse_measure,
-    validate_icm,
 )
 from .pauli import PauliError, row_parse
 from .table import StabiliserTruthTable, derive_truth_table
@@ -57,16 +56,7 @@ class Specification:
     rules: tuple[MeasurementRule, ...]  # O, order-significant
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for qid in self.roster():
-            if qid in seen:
-                raise SpecParseError(f"qubit {qid!r} declared twice", source=("declare", qid))
-            seen.add(qid)
-        if len(seen) != self.n:
-            raise SpecParseError(
-                f"qubits line says {self.n} but {len(seen)} qubits are declared",
-                source=("qubits", ""),
-            )
+        _check_roster(self.n, self.roster())
         if self.table.n != self.n:
             raise SpecParseError(
                 f"table is {self.table.n}-qubit but spec declares {self.n}"
@@ -93,6 +83,20 @@ class Specification:
         return self.io_ids + self.ancilla_order
 
 
+def _check_roster(n: int, roster: tuple[str, ...]) -> None:
+    """Raise SpecParseError unless ``roster`` is ``n`` distinct ids."""
+    seen: set[str] = set()
+    for qid in roster:
+        if qid in seen:
+            raise SpecParseError(f"qubit {qid!r} declared twice", source=("declare", qid))
+        seen.add(qid)
+    if len(seen) != n:
+        raise SpecParseError(
+            f"qubits line says {n} but {len(seen)} qubits are declared",
+            source=("qubits", ""),
+        )
+
+
 def permute_table(
     t: StabiliserTruthTable, perm: list[int]
 ) -> StabiliserTruthTable:
@@ -112,11 +116,6 @@ def permute_table(
 
 
 def derive_specification(c: IcmCircuit) -> Specification:
-    violations = validate_icm(c)
-    if violations:
-        raise SpecParseError(
-            "circuit fails ICM validation: " + "; ".join(v.message for v in violations)
-        )
     io = c.io_ids()
     table = derive_truth_table(c, io + c.ancilla_ids())
     inits = {q.id: q.init for q in c.qubits if q.kind != "io"}
@@ -241,19 +240,17 @@ def parse_spec(text: str) -> Specification:
     io: list[str] = []
     inits: dict[str, str] = {}
     lines: dict[tuple[str, str], int] = {}  # (directive, qubit id) -> line
-    table: StabiliserTruthTable | None = None
     rules: list[MeasurementRule] = []
-    table_from: int | None = None  # index of an open table block's first line
+    table_at: int | None = None  # line of the 'table' keyword
+    table_end: int | None = None  # line of its 'end'
     header_seen = False
 
     text_lines = text.splitlines()
     for lineno, raw in enumerate(text_lines, start=1):
-        if table_from is not None:
+        if table_at is not None and table_end is None:
             # a row starts with its sign, so only other lines can be the end
-            if raw.startswith(("+", "-")) or raw.split("#", 1)[0].strip() != "end":
-                continue
-            table = _read_table(text_lines[table_from:lineno - 1], table_from + 1, table_n)
-            table_from = None
+            if not raw.startswith(("+", "-")) and raw.split("#", 1)[0].strip() == "end":
+                table_end = lineno
             continue
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -285,10 +282,9 @@ def parse_spec(text: str) -> Specification:
         elif kw == "table":
             if n is None:
                 raise SpecParseError("'table' before 'qubits'", lineno)
-            if table is not None:
+            if table_at is not None:
                 raise SpecParseError("duplicate table block", lineno)
-            table_from = lineno
-            table_n = n
+            table_at = lineno
         elif kw == "measure":
             # ids are checked against the roster once the spec is built
             rules.append(
@@ -301,14 +297,20 @@ def parse_spec(text: str) -> Specification:
 
     if n is None:
         raise SpecParseError("missing 'qubits' line")
-    if table_from is not None:
-        # a bad row is named before the missing end
-        _read_table(text_lines[table_from:], table_from + 1, table_n)
-        raise SpecParseError("table block not closed with 'end'")
     try:
-        return Specification(
-            n, tuple(io), inits, StabiliserTruthTable(n) if table is None else table,
-            tuple(rules),
-        )
+        if len(io) + len(inits) != n:
+            # a table holds n columns, so a count the roster cannot meet
+            # is named before one is built
+            _check_roster(n, (*io, *inits))
+        if table_at is None:
+            table = StabiliserTruthTable(n)
+        else:  # a bad row is named before a missing end
+            block = text_lines[table_at:None if table_end is None else table_end - 1]
+            table = _read_table(block, table_at + 1, n)
+            if table_end is None:
+                raise SpecParseError("table block not closed with 'end'", table_at)
+        return Specification(n, tuple(io), inits, table, tuple(rules))
     except SpecParseError as exc:
+        if exc.line is not None:
+            raise
         raise SpecParseError(str(exc), lines.get(exc.source)) from None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuit import IcmCircuit, validate_icm
+from .circuit import IcmCircuit
 from .pauli import PauliOperator, TableRow, _transpose, conjugate_columns, pauli_format
 from .specfmt import Specification, permute_table
 from .table import table_equal
@@ -91,13 +91,8 @@ def _roster_check(candidate: IcmCircuit, spec: Specification) -> str | None:
 
 
 def verify(candidate: IcmCircuit, spec: Specification) -> VerificationReport:
-    violations = validate_icm(candidate)
-    if violations:
-        return VerificationReport(
-            roster_ok=False,
-            roster_message="candidate is not valid ICM: "
-            + "; ".join(v.message for v in violations),
-        )
+    """Check ``candidate`` against ``spec``.  The roster fails only when the
+    qubit count, io ids or ancilla ids differ, and then no criterion runs."""
     mismatch = _roster_check(candidate, spec)
     if mismatch is not None:
         return VerificationReport(roster_ok=False, roster_message=mismatch)

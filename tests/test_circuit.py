@@ -63,6 +63,14 @@ def _mk(qubits, cnots=(), rules=()):
     return IcmCircuit(tuple(qubits), tuple(cnots), tuple(rules))
 
 
+def _violations(qubits, cnots=(), rules=(), outputs=None):
+    """The violations that building this circuit raises."""
+    with pytest.raises(IcmParseError) as exc:
+        IcmCircuit(tuple(qubits), tuple(cnots), tuple(rules), outputs)
+    assert str(exc.value) == "; ".join(map(str, exc.value.violations))
+    return exc.value.violations
+
+
 def test_validate_clean_teleport_styles():
     c = _mk(
         [
@@ -80,34 +88,38 @@ def test_validate_clean_teleport_styles():
 
 
 def test_validate_doubly_rotated():
-    c = _mk(
+    violations = _violations(
         [QubitDecl("w", "io"), QubitDecl("a", "teleport", "A")],
         rules=[MeasurementRule("a", "Y")],
     )
-    codes = [v.code for v in validate_icm(c)]
-    assert codes == ["doubly-rotated"]
-    assert teleport_rotation(c, c.qubit("a")) == "both"
+    assert [v.code for v in violations] == ["doubly-rotated"]
+    # a distillation ancilla may be rotated at both ends; read as a
+    # teleport ancilla, the same declaration is "both"
+    c = _mk(
+        [QubitDecl("w", "io"), QubitDecl("a", "distillation", "A")],
+        rules=[MeasurementRule("a", "Y")],
+    )
+    assert teleport_rotation(c, QubitDecl("a", "teleport", "A")) == "both"
 
 
 @pytest.mark.parametrize("basis", ["Y", "A"])
 def test_validate_computational_init(basis):
-    c = _mk([QubitDecl("w", "io"), QubitDecl("a", "computational", basis)])
-    assert [v.code for v in validate_icm(c)] == ["computational-init"]
+    violations = _violations([QubitDecl("w", "io"), QubitDecl("a", "computational", basis)])
+    assert [v.code for v in violations] == ["computational-init"]
 
 
 def test_validate_remeasured_and_self_cnot():
-    c = _mk(
+    violations = _violations(
         [QubitDecl("w", "io"), QubitDecl("a", "teleport", "Z")],
         cnots=[("w", "w")],
         rules=[MeasurementRule("a", "X"), MeasurementRule("a", "Z")],
     )
-    codes = {v.code for v in validate_icm(c)}
-    assert codes == {"cnot-self", "remeasured"}
+    assert {v.code for v in violations} == {"cnot-self", "remeasured"}
 
 
 def test_validate_condition_order():
     # the conditioned qubit is measured by an earlier rule
-    c = _mk(
+    violations = _violations(
         [
             QubitDecl("w", "io"),
             QubitDecl("a", "teleport", "Z"),
@@ -118,28 +130,33 @@ def test_validate_condition_order():
             MeasurementRule("a", "Z", "b", "X", "Z"),
         ],
     )
-    assert "condition-order" in {v.code for v in validate_icm(c)}
+    assert "condition-order" in {v.code for v in violations}
 
 
 def test_validate_conditioned_qubit_measured_again():
     # the conditioned qubit is measured again by a later rule
-    c = load_fixture("conditioned_remeasured.icm")
-    assert [v.code for v in validate_icm(c)] == ["remeasured"]
+    with pytest.raises(IcmParseError) as exc:
+        load_fixture("conditioned_remeasured.icm")
+    assert [v.code for v in exc.value.violations] == ["remeasured"]
 
 
 def test_validate_bad_outputs():
     # an output that a conditional rule measures, one listed twice, one fine
-    c = IcmCircuit(
-        (QubitDecl("w", "io"), QubitDecl("a", "teleport", "Z"),
-         QubitDecl("b", "teleport", "Z"), QubitDecl("c", "teleport", "Z")),
-        rules=(MeasurementRule("a", "Z", "b", "X", "Z"),),
-        outputs=("b", "w", "c", "w"),
-    )
-    assert [(v.code, v.entity, v.message) for v in validate_icm(c)] == [
+    qubits = (QubitDecl("w", "io"), QubitDecl("a", "teleport", "Z"),
+              QubitDecl("b", "teleport", "Z"), QubitDecl("c", "teleport", "Z"))
+    rules = (MeasurementRule("a", "Z", "b", "X", "Z"),)
+    violations = _violations(qubits, rules=rules, outputs=("b", "w", "c", "w"))
+    assert [(v.code, v.entity, v.message) for v in violations] == [
         ("bad-output", "b", "output qubit is measured"),
         ("bad-output", "w", "output qubit listed twice"),
     ]
-    assert validate_icm(IcmCircuit(c.qubits, c.cnots, c.rules, ("w", "c"))) == []
+    assert validate_icm(IcmCircuit(qubits, (), rules, ("w", "c"))) == []
+
+
+def test_validate_undeclared_output():
+    # parse_circuit names the line first; a built circuit is checked too
+    violations = _violations([QubitDecl("w", "io")], outputs=("w", "x"))
+    assert [(v.code, v.entity, v.source) for v in violations] == [("undeclared", "out", None)]
 
 
 def test_outcomes_enumerate_measured_ids_last_fastest(t_circuit):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from icmverify import parse_circuit, parse_spec
+from icmverify.circuit import validate_icm
 from icmverify.cli import build_parser, main
 
 from conftest import FIXTURES
@@ -283,6 +284,18 @@ measure a Y
                      "io qubit 'w'", id="spec-measure-io"),
         pytest.param("spec-diff", ".spec", SPEC.replace("+ ZI -> ZI", "+ ZI -> -ZI"), 7,
                      "row sign goes before the input, as in '- ZI -> ZI'", id="spec-row-sign"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("end\nmeasure a Y\n", ""), 5,
+                     "table block not closed with 'end'", id="spec-table-unclosed"),
+        # counts that no table may be built for: the roster is compared first
+        pytest.param("spec-diff", ".spec", "spec v1\nqubits 99999999999999999999\nio q1\n", 2,
+                     "qubits line says 99999999999999999999 but 1 qubits are declared",
+                     id="spec-count-overflows"),
+        pytest.param("spec-diff", ".spec",
+                     "spec v1\nqubits 99999999999999999999\nio q1\ntable\nend\n", 2,
+                     "qubits line says 99999999999999999999 but 1 qubits are declared",
+                     id="spec-count-overflows-empty-table"),
+        pytest.param("spec-diff", ".spec", SPEC.replace("qubits 2", "qubits 5"), 2,
+                     "qubits line says 5 but 2 qubits are declared", id="spec-count-above-roster"),
         pytest.param("parse", ".icm", "icm v1\nio q1 q2\nout q1\nout q2\n", 4,
                      "second 'out' line", id="icm-second-out"),
         pytest.param("derive-spec", ".icm",
@@ -320,6 +333,54 @@ def test_malformed_input_of_every_format_exits_2_naming_its_line(
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ")
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "command, suffix, data, line",
+    [
+        ("parse", ".icm", b"\xff\xfe", 1),
+        ("parse", ".icm", b"icm v1\n# caf\xc3\xa9\r\nio q1 \xe9\nout q1\n", 3),
+        ("spec-diff", ".spec", b"spec v1\nqubits 1\nio q1\ntable\n+ X -> X\x80\nend\n", 5),
+        ("compile", ".gates", b"gates v1\nqubits 1\n\nt 1\n\xc3(\n", 5),
+    ],
+    ids=["icm-first-byte", "icm-after-crlf", "spec-row", "gates"],
+)
+def test_a_file_that_is_not_utf8_exits_2_naming_its_line(
+    tmp_path, capsys, command, suffix, data, line
+):
+    path = tmp_path / ("input" + suffix)
+    path.write_bytes(data)
+    args = [command, str(path)] + ([str(path)] if command == "spec-diff" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: {path} is not UTF-8 text (")
+
+
+def test_a_crlf_file_reads_as_its_lf_form(tmp_path, capsys):
+    text = (FIXTURES / "t.icm").read_text()
+    path = tmp_path / "crlf.icm"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert main(["parse", str(path)]) == 0
+    assert main(["parse", fx("t.icm")]) == 0
+    first, second = capsys.readouterr().out.split("icm v1")[1:]
+    assert first == second
+
+
+@pytest.mark.parametrize("command", ["derive-spec", "verify"])
+def test_the_cli_validates_each_circuit_once(monkeypatch, capsys, t_spec_file, command):
+    validated = []
+
+    def counting(c):
+        validated.append(c)
+        return validate_icm(c)
+
+    # wrapped wherever the package holds it, as a profiler would wrap it
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "icmverify" and vars(module).get("validate_icm"):
+            monkeypatch.setattr(module, "validate_icm", counting)
+    args = [command, fx("t.icm")] + ([t_spec_file] if command == "verify" else [])
+    assert main(args) == 0
+    assert len(validated) == 1
 
 
 @pytest.mark.parametrize("command", ["parse", "derive-spec"])

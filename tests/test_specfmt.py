@@ -4,6 +4,7 @@ import pytest
 
 from icmverify import (
     IcmCircuit,
+    IcmParseError,
     MeasurementRule,
     QubitDecl,
     SpecParseError,
@@ -114,12 +115,13 @@ measure a Y
 
 
 def test_derive_rejects_invalid_circuit():
-    c = IcmCircuit(
-        (QubitDecl("w", "io"), QubitDecl("a", "teleport", "A")),
-        rules=(MeasurementRule("a", "Y"),),
-    )
-    with pytest.raises(SpecParseError):
-        derive_specification(c)
+    # no such circuit reaches derive_specification: building it fails
+    with pytest.raises(IcmParseError) as exc:
+        IcmCircuit(
+            (QubitDecl("w", "io"), QubitDecl("a", "teleport", "A")),
+            rules=(MeasurementRule("a", "Y"),),
+        )
+    assert [v.code for v in exc.value.violations] == ["doubly-rotated"]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 
 from icmverify import (
     IcmCircuit,
+    IcmParseError,
     MeasurementRule,
     QubitDecl,
     Specification,
@@ -99,17 +100,18 @@ def test_roster_mismatch_is_immediate_fail(t_spec):
     assert report.roster_message
 
 
-def test_invalid_candidate_fails_roster(t_circuit, t_spec):
-    bad = _with(
-        t_circuit,
-        qubits=(
-            QubitDecl("q1", "io"),
-            QubitDecl("q2", "teleport", "A"),  # doubly rotated with its A rule
-            QubitDecl("q3", "teleport", "Z"),
-        ),
-    )
-    report = verify(bad, t_spec)
-    assert not report.roster_ok
+def test_invalid_candidate_fails_roster(t_circuit):
+    # no such candidate reaches verify: building it fails
+    with pytest.raises(IcmParseError) as exc:
+        _with(
+            t_circuit,
+            qubits=(
+                QubitDecl("q1", "io"),
+                QubitDecl("q2", "teleport", "A"),  # doubly rotated with its A rule
+                QubitDecl("q3", "teleport", "Z"),
+            ),
+        )
+    assert [(v.code, v.entity) for v in exc.value.violations] == [("doubly-rotated", "q2")]
 
 
 def test_declaration_order_is_not_significant(t_circuit, t_spec):
