@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator
 
 PLAIN_BASES = ("X", "Z")
@@ -151,17 +150,6 @@ class IcmCircuit:
         ids = self.measured_ids()
         for bits in itertools.product((0, 1), repeat=len(ids)):
             yield dict(zip(ids, bits))
-
-    @cached_property
-    def rotated_measured_ids(self) -> frozenset[str]:
-        """Ids that some rule may measure in a rotated basis (Y or A)."""
-        out: set[str] = set()
-        for r in self.rules:
-            if r.b1 in ROTATED_BASES:
-                out.add(r.q1)
-            if r.b2 in ROTATED_BASES or r.b3 in ROTATED_BASES:
-                out.add(r.q2)  # type: ignore[arg-type]
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -356,19 +344,6 @@ def serialize_circuit(c: IcmCircuit) -> str:
     return "\n".join(out) + "\n"
 
 
-def teleport_rotation(c: IcmCircuit, q: QubitDecl) -> str:
-    """Classify a teleport ancilla: 'init', 'measurement', 'none' or 'both'."""
-    rot_init = q.init in ROTATED_BASES
-    rot_meas = q.id in c.rotated_measured_ids
-    if rot_init and rot_meas:
-        return "both"
-    if rot_init:
-        return "init"
-    if rot_meas:
-        return "measurement"
-    return "none"
-
-
 def validate_icm(c: IcmCircuit) -> list[Violation]:
     """Check ICM invariants; returns structured violations (empty == valid).
 
@@ -397,7 +372,10 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
     # each qubit is measured by at most one rule, as its q1 or as its q2
     seen_q1: dict[str, int] = {}
     conditioned: dict[str, int] = {}
+    rotated: set[str] = set()  # ids that some rule may measure in Y or A
     for i, r in enumerate(c.rules):
+        if r.b1 in ROTATED_BASES:
+            rotated.add(r.q1)
         for qid in r.measured_qubits():
             if qid not in ids:
                 out.append(Violation("undeclared", f"rule[{i}]", f"unknown qubit {qid!r}"))
@@ -413,6 +391,8 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
                 ("measure", i)))
         seen_q1[r.q1] = i
         if r.q2 is not None:
+            if r.b2 in ROTATED_BASES or r.b3 in ROTATED_BASES:
+                rotated.add(r.q2)
             if r.q2 in conditioned:
                 out.append(Violation(
                     "reconditioned", r.q2,
@@ -437,7 +417,7 @@ def validate_icm(c: IcmCircuit) -> list[Violation]:
         listed.add(qid)
 
     for q in c.qubits:
-        if q.kind == "teleport" and teleport_rotation(c, q) == "both":
+        if q.kind == "teleport" and q.init in ROTATED_BASES and q.id in rotated:
             out.append(Violation(
                 "doubly-rotated", q.id,
                 f"teleport ancilla has rotated init {q.init} and a rotated measurement",

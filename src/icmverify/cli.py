@@ -16,7 +16,13 @@ from .circuit import (
     violation_line,
 )
 from .compiler import CompileError, compile_to_icm, parse_gates
-from .specfmt import SpecParseError, derive_specification, parse_spec, serialize_spec
+from .specfmt import (
+    SpecParseError,
+    derive_specification,
+    parse_spec,
+    permute_table,
+    serialize_spec,
+)
 from .transforms import TransformError, demote_rotated_measurement, dual_rewrite
 from .verifier import spec_diff, verify
 
@@ -125,7 +131,9 @@ def _cmd_sample_verify(args) -> int:
     if not report.overall:
         print(report.format())
         return 1
-    ok = sample_verify(c, spec.table)
+    # spec columns follow its roster (io qubits first); the oracle's follow c.qubits
+    col = {qid: k for k, qid in enumerate(spec.roster())}
+    ok = sample_verify(c, permute_table(spec.table, [col[q.id] for q in c.qubits]))
     print(_records([("sampled", "pass" if ok else "fail")]))
     return 0 if ok else 1
 

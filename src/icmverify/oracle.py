@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -68,25 +68,8 @@ def _cnot_permutation(c: IcmCircuit) -> np.ndarray:
     return perm
 
 
-def _region(c: IcmCircuit, kets: list[np.ndarray]) -> np.ndarray:
-    """Run the CNOT region on a product of single-qubit inputs.
-
-    ``kets[i]`` is a (2, b_i) matrix whose columns are alternative inputs
-    of qubit i.  Returns a (2**n, prod b_i) matrix with one output state
-    per combination, combinations in ``np.kron`` order (qubit 0 slowest).
-    """
-    state = functools.reduce(np.kron, kets)
-    out = np.empty_like(state)
-    out[_cnot_permutation(c)] = state
-    return out
-
-
-def _branches(
-    c: IcmCircuit,
-    keep: list[str],
-    outcomes: Iterable[dict[str, int]] | None = None,
-) -> Iterator[tuple[dict[str, int], np.ndarray]]:
-    """Yield (outcome, K) for every measurement branch, or for ``outcomes``.
+def _branches(c: IcmCircuit, keep: list[str]) -> Iterator[tuple[dict[str, int], np.ndarray]]:
+    """Yield (outcome, K) for every measurement branch, in ``c.outcomes()`` order.
 
     K is the branch's unnormalised Kraus operator, a (2**len(keep), 2**k)
     matrix from the io qubits' computational inputs (first io qubit most
@@ -108,10 +91,15 @@ def _branches(
             plan.append((r.q2, r.b2, r.b3, r.q1))
     axes = [c.index(qid) for qid, *_ in plan] + [c.index(qid) for qid in keep]
     eye = np.eye(2, dtype=complex)
-    psi = _region(c, [eye if q.kind == "io" else KET[q.init][:, None] for q in c.qubits])
+    # one column per io basis state, in np.kron order (qubit 0 slowest)
+    state = functools.reduce(
+        np.kron, [eye if q.kind == "io" else KET[q.init][:, None] for q in c.qubits]
+    )
+    psi = np.empty_like(state)
+    psi[_cnot_permutation(c)] = state
     # measured qubits lead, in rule order, so each bra contracts axis 0
     psi = np.ascontiguousarray(psi.reshape((2,) * c.n + (-1,)).transpose(axes + [c.n]))
-    for outcome in c.outcomes() if outcomes is None else outcomes:
+    for outcome in c.outcomes():
         t = psi
         for qid, b0, b1, trigger in plan:
             t = _BRA[b1 if outcome[trigger] else b0][outcome[qid]] @ t.reshape(2, -1)
@@ -290,99 +278,84 @@ def _pauli_action(p: PauliOperator):
     return off, phases
 
 
-def _pauli_matrix_apply(p: PauliOperator, vecs: np.ndarray) -> np.ndarray:
-    """Apply P to columns of vecs (dim 2**n x m) without building P."""
+def _conjugate(
+    perm: np.ndarray, inv: np.ndarray, p: PauliOperator
+) -> tuple[PauliOperator, int]:
+    """U p U^dagger as (Q, s) with U p U^dagger = s*Q, for a region U.
+
+    U maps e_k to e_{perm[k]}, and ``inv`` is the inverse permutation.
+    A signed Pauli is fitted to the dense action of U p U^dagger and the
+    fit is checked on every column; OracleError if it does not hold.
+    """
+    n = p.n
+    # column k of M = U P U^-1:
+    #   U^-1 e_k = e_{inv[k]};  P e_m = phases[m] e_{m ^ off};  U e_m = e_{perm[m]}
     off, phases = _pauli_action(p)
-    idx = np.arange(vecs.shape[0]) ^ off
-    return phases[:, None] * vecs[idx]
+    col_row = perm[inv ^ off]
+    col_val = phases[inv]
+    # fit a signed Pauli to M: the index offset must be constant
+    offs = col_row ^ np.arange(perm.size)
+    if not (offs == offs[0]).all():
+        raise OracleError("conjugated operator is not a Pauli (offset varies)")
+    out_off = int(offs[0])
+    # z-bits from value ratios between column 0 and single-bit columns
+    out_z = 0
+    for bit in range(n):
+        ratio = col_val[1 << (n - 1 - bit)] / col_val[0]
+        if abs(ratio + 1) < 1e-9:
+            out_z |= 1 << bit
+        elif abs(ratio - 1) > 1e-9:
+            raise OracleError("conjugated operator is not a Pauli (bad ratio)")
+    q = PauliOperator(n, _bit_reversed(out_off, n), out_z)
+    fit_off, fit_phases = _pauli_action(q)
+    lead = col_val[0] / fit_phases[0]
+    if abs(lead - 1) < 1e-9:
+        sign = 1
+    elif abs(lead + 1) < 1e-9:
+        sign = -1
+    else:
+        raise OracleError(f"non-real conjugation phase {lead!r}")
+    # verify the fit on every column
+    if fit_off != out_off or not np.allclose(col_val, sign * fit_phases, atol=1e-9):
+        raise OracleError("pauli fit failed verification")
+    return q, sign
 
 
 def oracle_truth_table(c: IcmCircuit) -> StabiliserTruthTable:
     """Re-derive the truth table by brute-force conjugation.
 
     The CNOT region is a permutation U of computational basis states;
-    each seed row's image is U P U^dagger, recovered by fitting a Pauli
-    to the dense matrix action and verifying the fit on every column.
+    each seed row P -> s*Q comes from ``_conjugate``, which fits U P U^dagger
+    to its dense action.  Column k is qubit k of ``c.qubits``.
     """
     _check_size(c.n)
     n = c.n
-    dim = 2**n
     perm = _cnot_permutation(c)
-    inv = np.empty(dim, dtype=np.int64)
-    inv[perm] = np.arange(dim)
-
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
     rows = []
     for qi, _qid, basis, _kind in seed_rows(c):
-        if basis == "X":
-            p = PauliOperator(n, 1 << qi, 0)
-        else:
-            p = PauliOperator(n, 0, 1 << qi)
-        # column k of M = U P U^-1:
-        #   U^-1 e_k = e_{inv[k]};  P e_m = phases[m] e_{m ^ off};  U e_m = e_{perm[m]}
-        off, phases = _pauli_action(p)
-        col_row = perm[inv ^ off]
-        col_val = phases[inv]
-        # fit a signed Pauli to M: the index offset must be constant
-        offs = col_row ^ np.arange(dim)
-        if not (offs == offs[0]).all():
-            raise OracleError("conjugated operator is not a Pauli (offset varies)")
-        out_off = int(offs[0])
-        out_x = _bit_reversed(out_off, n)
-        # z-bits from value ratios between column 0 and single-bit columns
-        out_z = 0
-        for bit in range(n):
-            ratio = col_val[1 << (n - 1 - bit)] / col_val[0]
-            if abs(ratio + 1) < 1e-9:
-                out_z |= 1 << bit
-            elif abs(ratio - 1) > 1e-9:
-                raise OracleError("conjugated operator is not a Pauli (bad ratio)")
-        q = PauliOperator(n, out_x, out_z)
-        fit_off, fit_phases = _pauli_action(q)
-        lead = col_val[0] / fit_phases[0]
-        if abs(lead - 1) < 1e-9:
-            sign = 1
-        elif abs(lead + 1) < 1e-9:
-            sign = -1
-        else:
-            raise OracleError(f"non-real conjugation phase {lead!r}")
-        # verify the fit on every column
-        if fit_off != out_off or not np.allclose(
-            col_val, sign * fit_phases, atol=1e-9
-        ):
-            raise OracleError("pauli fit failed verification")
-        rows.append(TableRow(p, q, sign))
+        p = PauliOperator(n, 1 << qi, 0) if basis == "X" else PauliOperator(n, 0, 1 << qi)
+        rows.append(TableRow(p, *_conjugate(perm, inv, p)))
     return StabiliserTruthTable(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
-# sampling verification
+# dense row check
 
 
 def sample_verify(c: IcmCircuit, table: StabiliserTruthTable) -> bool:
-    """Check each table row on the dense state its seed prepares.
+    """Check every row P -> s*Q of ``table`` as U P U^dagger = s*Q.
 
-    For a row P -> s*Q the seed qubit is prepared in the +1 eigenstate of
-    its single-qubit input letter, all other io qubits in |0>, ancillae
-    per their declared inits; after the CNOT region the state must be
-    stabilised by s*Q, so the check is the exact expectation <Q> = s.  A
-    state that passes returns s on every Q-measurement, so drawing shots
-    could not change the verdict.
+    U is the circuit's CNOT region, applied densely, and column k of the
+    table is qubit k of ``c.qubits``.  This identity is what a row says,
+    so any product of rows of a correct table passes and a flipped sign
+    fails.  Ancilla inits are not read: ``verify`` checks them.
     """
     _check_size(c.n)
-    for row in table.rows:
-        seed_q = None
-        for k in range(c.n):
-            if (row.input.x >> k) & 1 or (row.input.z >> k) & 1:
-                seed_q = k
-                break
-        letter = row.input.letter(seed_q)
-        kets = [
-            KET[letter] if i == seed_q else KET["Z" if q.kind == "io" else q.init]
-            for i, q in enumerate(c.qubits)
-        ]
-        vec = _region(c, [ket[:, None] for ket in kets])
-        qvec = _pauli_matrix_apply(row.output, vec)
-        expval = float(np.vdot(vec, qvec).real)
-        if abs(expval - row.sign) > 1e-9:
-            return False
-    return True
+    if table.n != c.n:
+        raise OracleError(f"table has {table.n} qubits but the circuit has {c.n}")
+    perm = _cnot_permutation(c)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return all(_conjugate(perm, inv, r.input) == (r.output, r.sign) for r in table.rows)

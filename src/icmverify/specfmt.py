@@ -265,6 +265,8 @@ def parse_spec(text: str) -> Specification:
         if kw == "qubits":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise SpecParseError("expected 'qubits <N>'", lineno)
+            if n is not None:
+                raise SpecParseError("second 'qubits' line", lineno)
             n = int(parts[1])
             lines["qubits", ""] = lineno
         elif kw == "io":

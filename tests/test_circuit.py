@@ -9,7 +9,6 @@ from icmverify import (
     serialize_circuit,
     validate_icm,
 )
-from icmverify.circuit import teleport_rotation
 
 from conftest import FIXTURES, load_fixture
 
@@ -82,9 +81,6 @@ def test_validate_clean_teleport_styles():
         rules=[MeasurementRule("a", "Z"), MeasurementRule("b", "Y")],
     )
     assert validate_icm(c) == []
-    assert teleport_rotation(c, c.qubit("a")) == "init"
-    assert teleport_rotation(c, c.qubit("b")) == "measurement"
-    assert teleport_rotation(c, c.qubit("c")) == "none"
 
 
 def test_validate_doubly_rotated():
@@ -93,13 +89,12 @@ def test_validate_doubly_rotated():
         rules=[MeasurementRule("a", "Y")],
     )
     assert [v.code for v in violations] == ["doubly-rotated"]
-    # a distillation ancilla may be rotated at both ends; read as a
-    # teleport ancilla, the same declaration is "both"
+    # a distillation ancilla may be rotated at both ends
     c = _mk(
         [QubitDecl("w", "io"), QubitDecl("a", "distillation", "A")],
         rules=[MeasurementRule("a", "Y")],
     )
-    assert teleport_rotation(c, QubitDecl("a", "teleport", "A")) == "both"
+    assert validate_icm(c) == []
 
 
 @pytest.mark.parametrize("basis", ["Y", "A"])

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -205,6 +206,30 @@ def test_sample_verify_structural_failure_reports_verify(capsys, t_spec_file):
     assert "criterion2-table" in capsys.readouterr().out
 
 
+def test_sample_verify_aligns_spec_columns_with_the_circuit(tmp_path, capsys):
+    # the spec lists io qubits first; the circuit declares its ancilla first
+    circuit = tmp_path / "anc_first.icm"
+    circuit.write_text("icm v1\nancilla a teleport init Z\nio q1\ncnot q1 a\nmeasure a X\nout q1\n")
+    spec = tmp_path / "anc_first.spec"
+    assert main(["derive-spec", str(circuit), "-o", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(["sample-verify", str(circuit), str(spec)]) == 0
+    assert capsys.readouterr().out == "sampled: pass\n"
+
+
+def test_sample_verify_passes_a_row_product_and_fails_its_negation(tmp_path, capsys, t_spec_file):
+    # row 0 x row 1 of t.icm's table is + YII -> YXX
+    text = pathlib.Path(t_spec_file).read_text()
+    assert "+ ZII -> ZII\n" in text
+    mixed = tmp_path / "mixed.spec"
+    mixed.write_text(text.replace("+ ZII -> ZII\n", "+ YII -> YXX\n"))
+    assert main(["sample-verify", fx("t.icm"), str(mixed)]) == 0
+    assert capsys.readouterr().out == "sampled: pass\n"
+    mixed.write_text(text.replace("+ ZII -> ZII\n", "- YII -> YXX\n"))
+    assert main(["sample-verify", fx("t.icm"), str(mixed)]) == 1
+    assert "criterion2-table: fail" in capsys.readouterr().out
+
+
 def test_sample_verify_size_cap_exits_3(tmp_path, capsys):
     wide = tmp_path / "wide.icm"
     wide.write_text("icm v1\nio " + " ".join(f"q{i}" for i in range(13)) + "\n")
@@ -296,6 +321,8 @@ measure a Y
                      id="spec-count-overflows-empty-table"),
         pytest.param("spec-diff", ".spec", SPEC.replace("qubits 2", "qubits 5"), 2,
                      "qubits line says 5 but 2 qubits are declared", id="spec-count-above-roster"),
+        pytest.param("spec-diff", ".spec", SPEC + "qubits 2\n", 11,
+                     "second 'qubits' line", id="spec-second-qubits"),
         pytest.param("parse", ".icm", "icm v1\nio q1 q2\nout q1\nout q2\n", 4,
                      "second 'out' line", id="icm-second-out"),
         pytest.param("derive-spec", ".icm",

@@ -13,6 +13,8 @@ from icmverify import (
     OracleError,
     QubitDecl,
     SizeCapError,
+    StabiliserTruthTable,
+    TableRow,
     channel_choi,
     channels_equal,
     choi_of_unitary,
@@ -20,6 +22,8 @@ from icmverify import (
     fit_frames,
     oracle_truth_table,
     parse_circuit,
+    pauli_parse,
+    row_multiply,
     sample_verify,
     table_equal,
     validate_icm,
@@ -228,7 +232,7 @@ def test_branch_kraus_teleport():
 
 
 def test_branch_kraus_conditional_bases(t_circuit):
-    [(_, kraus)] = oracle._branches(t_circuit, ["q1"], [{"q2": 0, "q3": 0}])
+    [kraus] = [k for o, k in oracle._branches(t_circuit, ["q1"]) if o == {"q2": 0, "q3": 0}]
     vec = kraus @ KET0
     assert np.vdot(vec, vec).real > 0
 
@@ -314,6 +318,33 @@ def test_sample_verify_catches_sign_flip(cnot_circuit):
     assert not sample_verify(cnot_circuit, flipped)
 
 
+def test_sample_verify_reads_a_row_product_with_its_sign(t_circuit):
+    # row 0 x row 1 of t.icm's table is + YII -> YXX
+    rows = list(derive_truth_table(t_circuit).rows)
+    for sign, want in ((1, True), (-1, False)):
+        rows[1] = TableRow(pauli_parse("YII"), pauli_parse("YXX"), sign)
+        assert sample_verify(t_circuit, StabiliserTruthTable(3, tuple(rows))) is want
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_sample_verify_passes_row_products_and_fails_any_flipped_sign(seed):
+    rng = random.Random(3000 + seed)
+    c = random_circuit(rng)  # at most 8 qubits
+    rows = list(derive_truth_table(c).rows)
+    for i in range(len(rows)):
+        if rng.random() < 0.6:
+            rows[i] = row_multiply(rows[i], rng.choice(rows[:i] + rows[i + 1:] or rows))
+    assert sample_verify(c, StabiliserTruthTable(c.n, tuple(rows)))
+    for i, r in enumerate(rows):
+        flipped = rows[:i] + [TableRow(r.input, r.output, -r.sign)] + rows[i + 1:]
+        assert not sample_verify(c, StabiliserTruthTable(c.n, tuple(flipped)))
+
+
+def test_sample_verify_rejects_a_table_of_another_width(t_circuit, cnot_circuit):
+    with pytest.raises(OracleError, match="table has 2 qubits but the circuit has 3"):
+        sample_verify(t_circuit, derive_truth_table(cnot_circuit))
+
+
 # --- dense sanity ------------------------------------------------------------
 
 
@@ -323,6 +354,23 @@ def test_t_conjugation_of_x():
     y = np.array([[0, -1j], [1j, 0]])
     got = t @ x @ t.conj().T
     assert np.allclose(got, (x + y) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_conjugate_matches_kron_matrices(seed):
+    rng = random.Random(5000 + seed)
+    c = random_circuit(rng)
+    perm = oracle._cnot_permutation(c)
+    u = np.zeros((len(perm), len(perm)))
+    u[perm, np.arange(len(perm))] = 1
+
+    def dense(p):
+        return functools.reduce(np.kron, [oracle.PAULI_1Q[p.letter(k)] for k in range(p.n)])
+
+    for _ in range(8):
+        p = pauli_parse("".join(rng.choice("IXYZ") for _ in range(c.n)))
+        q, sign = oracle._conjugate(perm, np.argsort(perm), p)
+        assert np.allclose(u @ dense(p) @ u.T, sign * dense(q))
 
 
 def test_frame_unitaries_are_memoised_and_read_only():
