@@ -90,12 +90,12 @@ def parse_gates(text: str) -> GateList:
     lines = [(ln, raw.split("#")[0].strip()) for ln, raw in enumerate(text.splitlines(), 1)]
     lines = [(ln, s) for ln, s in lines if s]
     if not lines:
-        raise CompileError("expected 'gates v1' header")
+        raise CompileError("line 1: expected 'gates v1' header")
     ln, s = lines[0]
     if s != "gates v1":
         raise CompileError(f"line {ln}: expected 'gates v1' header")
     if len(lines) < 2:
-        raise CompileError("expected 'qubits N' after header")
+        raise CompileError(f"line {ln}: expected 'qubits N' after header")
     ln, s = lines[1]
     if not s.startswith("qubits "):
         raise CompileError(f"line {ln}: expected 'qubits N' after header")
@@ -120,43 +120,25 @@ def parse_gates(text: str) -> GateList:
     return GateList(n, tuple(gates))
 
 
-@dataclass
-class _Form:
-    """Affine GF(2) form: const xor (sum of outcome variables)."""
-
-    vars: frozenset[str] = frozenset()
-    const: int = 0
-
-    def xor(self, other: "_Form") -> "_Form":
-        return _Form(self.vars ^ other.vars, self.const ^ other.const)
-
-    def evaluate(self, outcomes: dict[str, int]) -> int:
-        return (self.const + sum(outcomes[v] for v in self.vars)) & 1
-
-
-def _v(var: str) -> _Form:
-    return _Form(frozenset([var]))
-
-
 @dataclass(frozen=True)
 class CompileResult:
+    """A compiled circuit and its Pauli frame.
+
+    The frame is one (x, z) pair of affine GF(2) forms per output port,
+    each an int: bit 0 is the constant and bit k + 1 the outcome of
+    ``circuit.qubits[k]``.  On a branch whose outcome bits, with bit 0
+    set, are v, port j is corrected by X^a Z^b, where a and b are the
+    parities of ``x_forms[j] & v`` and ``z_forms[j] & v``.
+    """
+
     circuit: IcmCircuit
-    x_forms: tuple[_Form, ...]
-    z_forms: tuple[_Form, ...]
+    x_forms: tuple[int, ...]
+    z_forms: tuple[int, ...]
     exact: bool = True  # False when compiled without corrections
 
-    def frame_for(self, outcomes: dict[str, int]) -> str:
-        letters = []
-        for x, z in zip(self.x_forms, self.z_forms):
-            xb, zb = x.evaluate(outcomes), z.evaluate(outcomes)
-            letters.append("IZXY"[2 * xb + zb])
-        return "".join(letters)
-
-    def frame_map(self) -> dict[frozenset, str]:
-        """Outcome-keyed frame table in the shape channel_choi accepts."""
-        if len(self.circuit.measured_ids()) > 16:
-            raise CompileError("frame table too large to enumerate")
-        return {frozenset(o.items()): self.frame_for(o) for o in self.circuit.outcomes()}
+    def frame_map(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The frame as ``(x_forms, z_forms)``, the value channel_choi takes."""
+        return self.x_forms, self.z_forms
 
 
 @dataclass
@@ -166,26 +148,33 @@ class _Emitter:
     qubits: list[QubitDecl] = field(default_factory=list)
     cnots: list[tuple[str, str]] = field(default_factory=list)
     rules: list[MeasurementRule] = field(default_factory=list)
-    # rule index per outcome variable, for conditional-basis upgrades
-    rule_of: dict[str, int] = field(default_factory=dict)
+    bit: dict[str, int] = field(default_factory=dict)  # form bit of each qubit's outcome
+    # rule index per outcome bit, for conditional-basis upgrades
+    rule_of: dict[int, int] = field(default_factory=dict)
     counter: int = 0
 
-    def fresh(self, kind: str, init: str) -> str:
-        self.counter += 1
-        qid = f"a{self.counter}"
+    def declare(self, qid: str, kind: str, init: str | None = None) -> str:
+        self.bit[qid] = 2 << len(self.qubits)
         self.qubits.append(QubitDecl(qid, kind, init))
         return qid
 
-    def measure(self, qid: str, basis: str) -> str:
-        self.rule_of[qid] = len(self.rules)
-        self.rules.append(MeasurementRule(qid, basis))
-        return qid
+    def fresh(self, kind: str, init: str) -> str:
+        self.counter += 1
+        return self.declare(f"a{self.counter}", kind, init)
 
-    def condition(self, var: str, anc: str, b2: str, b3: str) -> None:
-        """Upgrade the rule measuring `var` so it also fixes `anc`'s basis."""
-        idx = self.rule_of.get(var)
+    def measure(self, qid: str, basis: str) -> int:
+        """Append a rule measuring ``qid``; return its outcome's form bit."""
+        bit = self.bit[qid]
+        self.rule_of[bit] = len(self.rules)
+        self.rules.append(MeasurementRule(qid, basis))
+        return bit
+
+    def condition(self, bit: int, anc: str, b2: str, b3: str) -> None:
+        """Upgrade the rule measuring outcome ``bit`` so it also fixes `anc`'s basis."""
+        idx = self.rule_of.get(bit)
         if idx is None or self.rules[idx].conditional:
-            raise CompileError(f"cannot condition twice on outcome of {var!r}")
+            qid = self.qubits[bit.bit_length() - 2].id
+            raise CompileError(f"cannot condition twice on outcome of {qid!r}")
         prev = self.rules[idx]
         self.rules[idx] = MeasurementRule(prev.q1, prev.b1, anc, b2, b3)
 
@@ -196,23 +185,21 @@ def compile_to_icm(
     if flavour not in FLAVOURS:
         raise CompileError(f"unknown flavour {flavour!r} (want one of {FLAVOURS})")
     em = _Emitter(flavour, corrections)
-    carriers = [f"q{i + 1}" for i in range(g.n)]
-    for qid in carriers:
-        em.qubits.append(QubitDecl(qid, "io"))
-    xf = [_Form() for _ in range(g.n)]
-    zf = [_Form() for _ in range(g.n)]
+    carriers = [em.declare(f"q{i + 1}", "io") for i in range(g.n)]
+    xf = [0] * g.n
+    zf = [0] * g.n
 
     for gate in g.gates:
         name, *args = gate
         if name == "x":
-            xf[args[0]] = xf[args[0]].xor(_Form(const=1))
+            xf[args[0]] ^= 1
         elif name == "z":
-            zf[args[0]] = zf[args[0]].xor(_Form(const=1))
+            zf[args[0]] ^= 1
         elif name == "cnot":
             c, t = args
             em.cnots.append((carriers[c], carriers[t]))
-            xf[t] = xf[t].xor(xf[c])
-            zf[c] = zf[c].xor(zf[t])
+            xf[t] ^= xf[c]
+            zf[c] ^= zf[t]
         elif name in ("p", "pdg"):
             _emit_p(em, carriers, xf, zf, args[0], dagger=name == "pdg")
         elif name == "h":
@@ -231,17 +218,15 @@ def compile_to_icm(
 
 def _emit_p(em, carriers, xf, zf, q, dagger):
     w = carriers[q]
-    zf[q] = zf[q].xor(xf[q])  # P X Pdg = iXZ
+    zf[q] ^= xf[q]  # P X Pdg = iXZ
     if em.flavour == "rotated_meas":
         a = em.fresh("teleport", "Z")
         em.cnots.append((w, a))
-        em.measure(a, "Y")
-        zf[q] = zf[q].xor(_v(a)).xor(_Form(const=0 if dagger else 1))
+        zf[q] ^= em.measure(a, "Y") ^ (0 if dagger else 1)
     else:
         a = em.fresh("teleport", "Y")
         em.cnots.append((w, a))
-        em.measure(a, "Z")
-        zf[q] = zf[q].xor(_v(a)).xor(_Form(const=1 if dagger else 0))
+        zf[q] ^= em.measure(a, "Z") ^ (1 if dagger else 0)
 
 
 def _emit_h(em, carriers, xf, zf, q):
@@ -257,13 +242,12 @@ def _emit_h(em, carriers, xf, zf, q):
         em.cnots.append((w, a1))
         m1 = em.measure(w, "Y")
         carriers[q] = a1
-        xf[q], zf[q] = zf[q].xor(_v(m1)), xf[q].xor(zf[q]).xor(_v(m1))
+        xf[q], zf[q] = zf[q] ^ m1, xf[q] ^ zf[q] ^ m1
         _emit_p(em, carriers, xf, zf, q, dagger=True)
         a3 = em.fresh("teleport", "Z")
         em.cnots.append((a1, a3))
-        m3 = em.measure(a1, "X")
+        zf[q] ^= em.measure(a1, "X")
         carriers[q] = a3
-        zf[q] = zf[q].xor(_v(m3))
     else:
         _emit_p(em, carriers, xf, zf, q, dagger=False)
         _emit_sx(em, carriers, xf, zf, q)
@@ -272,31 +256,29 @@ def _emit_h(em, carriers, xf, zf, q):
 
 def _emit_sx(em, carriers, xf, zf, q):
     w = carriers[q]
-    xf[q] = xf[q].xor(zf[q])  # sqrtX Z sqrtXdg = iXZ
+    xf[q] ^= zf[q]  # sqrtX Z sqrtXdg = iXZ
     if em.flavour == "rotated_meas":
         a = em.fresh("teleport", "X")
         em.cnots.append((a, w))
-        em.measure(a, "Y")
-        xf[q] = xf[q].xor(_v(a))
+        xf[q] ^= em.measure(a, "Y")
     else:
         a = em.fresh("teleport", "Y")
         em.cnots.append((a, w))
-        em.measure(a, "X")
-        xf[q] = xf[q].xor(_v(a)).xor(_Form(const=1))
+        xf[q] ^= em.measure(a, "X") ^ 1
 
 
 def _emit_t(em, carriers, xf, zf, q, dagger):
     w = carriers[q]
     d = 1 if dagger else 0
-    x = xf[q]
-    if len(x.vars) > 1:
+    var = xf[q] & ~1  # the X frame's outcome bits
+    if var & (var - 1):
         raise CompileError(
             "t gate after an X frame spanning several outcomes; no single "
             "measurement rule can select the basis from an outcome parity"
         )
     # T X = (phase) X Tdg, so a one-bit X frame flips which structure to
     # emit; with an outcome variable in play the flip rides on that rule.
-    eff = d ^ x.const
+    eff = d ^ (xf[q] & 1)
 
     if em.flavour == "rotated_meas":
         a1 = em.fresh("teleport", "Z")
@@ -309,15 +291,14 @@ def _emit_t(em, carriers, xf, zf, q, dagger):
             return
         mw = em.measure(w, "A")
         basis = lambda e: "X" if e else "Y"
-        if x.vars:
-            (var,) = x.vars
+        if var:
             em.condition(var, a1, basis(eff), basis(eff ^ 1))
         else:
             em.measure(a1, basis(eff))
-        zf[q] = zf[q].xor(_v(mw)).xor(_v(a1)).xor(_Form(x.vars, 1 ^ d ^ x.const))
+        zf[q] ^= mw ^ em.bit[a1] ^ var ^ 1 ^ eff
         carriers[q] = a2
     else:
-        if x.vars:
+        if var:
             raise CompileError(
                 "t gate after an X-type frame is not expressible in the "
                 "rotated-initialisation flavour; the carrier measurement "
@@ -333,8 +314,7 @@ def _emit_t(em, carriers, xf, zf, q, dagger):
         em.cnots.append((a1, w))
         em.cnots.append((a1, a2))
         b2, b3 = ("Z", "X") if eff else ("X", "Z")
-        em.rule_of[w] = len(em.rules)
         em.rules.append(MeasurementRule(w, "Z", a2, b2, b3))
-        xf[q] = xf[q].xor(_v(w))
-        zf[q] = zf[q].xor(_v(w)).xor(_v(a2)).xor(_Form(const=eff))
+        xf[q] ^= em.bit[w]
+        zf[q] ^= em.bit[w] ^ em.bit[a2] ^ eff
         carriers[q] = a1

@@ -120,45 +120,41 @@ def _port_ids(c: IcmCircuit) -> tuple[list[str], list[str], list[str]]:
     return list(c.io_ids()), outs, [q for q in unmeasured if q not in outs]
 
 
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+Frames = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@functools.lru_cache(maxsize=256)
-def _frame_unitary(frame: str | None, m: int) -> np.ndarray:
-    """Pauli string (e.g. 'XI') applied to the output ports, or identity.
-
-    Memoised, since every branch of a channel or a frame fit asks for
-    the same few strings again; the cache holds 256 matrices, enough
-    for every string ``fit_frames`` may try (m <= 4, at most 1 MB).
-    The arrays are shared between callers, so they are read-only.
-    """
-    if not frame:
-        u = np.eye(2**m, dtype=complex)
-    elif len(frame) != m:
-        raise OracleError(f"frame {frame!r} does not cover {m} output ports")
-    else:
-        u = np.array([[1.0]], dtype=complex)
-        for ch in frame:
-            u = np.kron(u, PAULI_1Q[ch])
-    u.setflags(write=False)
-    return u
+def _outcome_bits(c: IcmCircuit, outcome: dict[str, int]) -> int:
+    """A branch's outcome bits in the frame layout: bit 0 set, bit k + 1 for qubit k."""
+    return 1 | sum(2 << c.index(q) for q, b in outcome.items() if b)
 
 
-def channel_choi(
-    c: IcmCircuit,
-    frames: dict[frozenset[tuple[str, int]], str] | str | None = None,
-) -> np.ndarray:
+def _port_mask(forms: tuple[int, ...], v: int) -> int:
+    """Each form's parity over ``v``, as a row-index mask: port 0 is the top bit."""
+    mask = 0
+    for f in forms:
+        mask = mask << 1 | ((f & v).bit_count() & 1)
+    return mask
+
+
+def _signs(size: int, zmask: int) -> np.ndarray:
+    """(-1)**popcount(j & zmask) for j in range(size): the diagonal of Z^zmask."""
+    ks = np.arange(size)
+    par = np.zeros(size, dtype=np.int64)
+    for bit in range(zmask.bit_length()):
+        if (zmask >> bit) & 1:
+            par ^= (ks >> bit) & 1
+    return 1 - 2 * par
+
+
+def channel_choi(c: IcmCircuit, frames: Frames | None = None) -> np.ndarray:
     """Choi matrix of the circuit's io -> output channel, trace 2**k.
 
     ``frames`` optionally supplies a measurement-outcome-dependent Pauli
-    correction on the output ports: either one static Pauli string, or a
-    map keyed by frozenset of (measured qubit id, outcome bit) items.
-    Unmeasured qubits that are not outputs are traced out.
+    correction on the output ports, as ``(x_forms, z_forms)`` with one
+    affine form per port (the layout of ``compiler.CompileResult``): on
+    each branch port j is corrected by X^a Z^b, with a and b the parities
+    of its forms over the branch's outcome bits.  Unmeasured qubits that
+    are not outputs are traced out.
 
     The matrix is ``M @ M^H`` for the stacked branch Kraus columns M, so
     it is Hermitian and positive semidefinite by construction.  What a
@@ -168,13 +164,19 @@ def channel_choi(
     """
     ins, outs, extras = _port_ids(c)
     k, m = len(ins), len(outs)
+    if frames is not None and not len(frames[0]) == len(frames[1]) == m:
+        raise OracleError(f"frame does not cover {m} output ports")
+    rows = np.arange(2**m)
     # one column per (branch, extra basis state), rows indexed (input, output)
     columns = []
     for outcome, kraus in _branches(c, outs + extras):
         kraus = kraus.reshape(2**m, -1)
         if frames is not None:
-            fr = frames if isinstance(frames, str) else frames.get(frozenset(outcome.items()), "")
-            kraus = _frame_unitary(fr, m) @ kraus
+            v = _outcome_bits(c, outcome)
+            x, z = _port_mask(frames[0], v), _port_mask(frames[1], v)
+            if x or z:  # row j of X^x Z^z K is sign(j ^ x) * row j ^ x of K
+                src = rows ^ x
+                kraus = kraus[src] * _signs(2**m, z)[src, None]
         columns.append(kraus.reshape(2**m, -1, 2**k).transpose(2, 0, 1).reshape(2 ** (k + m), -1))
     vecs = np.concatenate(columns, axis=1)
     trace = np.vdot(vecs, vecs).real
@@ -193,6 +195,8 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def channels_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    if a.shape != b.shape:  # channels on different numbers of ports
+        return False
     # a few rows at a time: a full-size difference of two 512 x 512 Choi
     # matrices is a fresh 4 MB temporary, page-faulted anew on every call
     step = max(1, 4096 // a.shape[-1])
@@ -201,58 +205,79 @@ def channels_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     )
 
 
-def _pauli_strings(m: int):
-    if m == 0:
-        yield ""
-        return
-    for rest in _pauli_strings(m - 1):
-        for ch in "IXYZ":
-            yield ch + rest
+def _fit_pauli(rows: np.ndarray, vals: np.ndarray, tol: float) -> tuple[int, int, complex] | None:
+    """Fit lead * X^off Z^zmask to the matrix M with M e_j = vals[j] e_{rows[j]}.
+
+    ``off`` and ``zmask`` are basis-index masks, so X^off Z^zmask maps e_j
+    to (-1)**popcount(j & zmask) e_{j ^ off}.  Returns (off, zmask, lead),
+    or None unless the fit holds on every column to tol * max(1, |lead|).
+    """
+    off, lead = int(rows[0]), vals[0]
+    if (rows ^ np.arange(rows.size) != off).any():
+        return None
+    zmask = 0
+    for bit in range((rows.size - 1).bit_length()):
+        if (vals[1 << bit] * np.conj(lead)).real < 0:
+            zmask |= 1 << bit
+    if np.abs(vals - lead * _signs(rows.size, zmask)).max() > tol * max(1.0, abs(lead)):
+        return None
+    return off, zmask, lead
 
 
-def fit_frames(
-    c: IcmCircuit, u_ideal: np.ndarray, tol: float = 1e-8
-) -> dict[frozenset[tuple[str, int]], str] | None:
-    """Per-branch Pauli corrections making the circuit implement ``u_ideal``.
+def fit_frames(c: IcmCircuit, u_ideal: np.ndarray, tol: float = 1e-8) -> Frames | None:
+    """The Pauli frame that makes the circuit implement ``u_ideal``.
 
-    For every measurement branch the Kraus operator is computed densely
-    and matched against (Pauli string) x ``u_ideal`` up to scale.  Returns
-    a frame table suitable for ``channel_choi``, or None if some branch
-    of nonzero weight is not a Pauli multiple of the target.  Like
-    ``channel_choi`` it holds all 2**k inputs at once, so it is capped at
-    n + k qubits.
+    For every measurement branch the Kraus operator K is computed densely,
+    and K U^dagger is read as a multiple of one Pauli string, which is the
+    branch's correction.  The corrections are then solved for affine forms
+    over the outcome bits by GF(2) elimination, in the frame layout
+    ``channel_choi`` takes.  A branch of zero weight takes any correction.
+    Returns None if some branch of nonzero weight is not a Pauli multiple
+    of the target, or if no affine forms give every branch its correction.
+    Like ``channel_choi`` it holds all 2**k inputs at once, so it is capped
+    at n + k qubits.
     """
     ins, outs, extras = _port_ids(c)
     k, m = len(ins), len(outs)
     if u_ideal.shape != (2**m, 2**k):
         raise OracleError("ideal operator does not match the circuit's ports")
-    if m > 4:
-        raise SizeCapError("frame fitting capped at 4 output ports")
     if extras:
         raise OracleError(f"unmeasured non-output qubits {extras}; cannot fit frames")
 
-    table: dict[frozenset[tuple[str, int]], str] = {}
+    cols = np.arange(2**m)
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (outcome bits, Pauli bits)
     for outcome, kraus in _branches(c, outs):
-        scale = np.abs(kraus).max()
-        if scale < tol:  # zero-weight branch, correction irrelevant
-            table[frozenset(outcome.items())] = "I" * m
+        if np.abs(kraus).max() < tol:
             continue
-        residue = kraus @ u_ideal.conj().T  # should be (scalar) x Pauli
-        hit = None
-        for ps in _pauli_strings(m):
-            pu = _frame_unitary(ps, m)
-            # row 0 of a Pauli matrix holds exactly one nonzero entry
-            j = int(np.flatnonzero(pu[0])[0])
-            lead = residue[0, j] / pu[0, j]
-            if abs(lead) < tol:
-                continue
-            if np.abs(residue - lead * pu).max() <= tol * max(1.0, abs(lead)):
-                hit = ps
-                break
-        if hit is None:
+        residue = kraus @ u_ideal.conj().T  # should be lead * X^off Z^zmask
+        rows = np.abs(residue).argmax(axis=0)
+        fit = _fit_pauli(rows, residue[rows, cols], tol)
+        if fit is None:
             return None
-        table[frozenset(outcome.items())] = hit
-    return table
+        off, zmask, lead = fit
+        residue[rows, cols] = 0
+        if np.abs(residue).max() > tol * max(1.0, abs(lead)):
+            return None
+        # one GF(2) equation: the forms' parities over v are these Pauli bits
+        v, rhs = _outcome_bits(c, outcome), off | zmask << m
+        while v and (top := v.bit_length()) in pivots:
+            pv, pr = pivots[top]
+            v, rhs = v ^ pv, rhs ^ pr
+        if v:
+            pivots[top] = (v, rhs)
+        elif rhs:
+            return None
+    # back-substitute, lowest pivot first; a variable without a pivot is 0
+    value: dict[int, int] = {}
+    for top in sorted(pivots):
+        v, rhs = pivots[top]
+        for bit in range(top - 1):
+            if (v >> bit) & 1:
+                rhs ^= value.get(bit + 1, 0)
+        value[top] = rhs
+    forms = [sum(1 << (top - 1) for top, r in value.items() if (r >> i) & 1)
+             for i in range(2 * m)]
+    return tuple(reversed(forms[:m])), tuple(reversed(forms[m:]))
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +294,7 @@ def _pauli_action(p: PauliOperator):
     n, x, z = p.n, p.x, p.z
     off, zmask = _bit_reversed(x, n), _bit_reversed(z, n)
     base = (1j) ** (p.phase % 4) * (1j) ** bin(x & z).count("1")
-    ks = np.arange(2**n)
-    par = np.zeros(2**n, dtype=np.int64)  # parity of popcount(k & zmask)
-    for bit in range(n):
-        if (zmask >> bit) & 1:
-            par += (ks >> bit) & 1
-    phases = base * (-1.0 + 0j) ** (par % 2)
-    return off, phases
+    return off, base * _signs(2**n, zmask)
 
 
 def _conjugate(
@@ -291,34 +310,17 @@ def _conjugate(
     # column k of M = U P U^-1:
     #   U^-1 e_k = e_{inv[k]};  P e_m = phases[m] e_{m ^ off};  U e_m = e_{perm[m]}
     off, phases = _pauli_action(p)
-    col_row = perm[inv ^ off]
-    col_val = phases[inv]
-    # fit a signed Pauli to M: the index offset must be constant
-    offs = col_row ^ np.arange(perm.size)
-    if not (offs == offs[0]).all():
-        raise OracleError("conjugated operator is not a Pauli (offset varies)")
-    out_off = int(offs[0])
-    # z-bits from value ratios between column 0 and single-bit columns
-    out_z = 0
-    for bit in range(n):
-        ratio = col_val[1 << (n - 1 - bit)] / col_val[0]
-        if abs(ratio + 1) < 1e-9:
-            out_z |= 1 << bit
-        elif abs(ratio - 1) > 1e-9:
-            raise OracleError("conjugated operator is not a Pauli (bad ratio)")
-    q = PauliOperator(n, _bit_reversed(out_off, n), out_z)
-    fit_off, fit_phases = _pauli_action(q)
-    lead = col_val[0] / fit_phases[0]
-    if abs(lead - 1) < 1e-9:
-        sign = 1
-    elif abs(lead + 1) < 1e-9:
-        sign = -1
-    else:
-        raise OracleError(f"non-real conjugation phase {lead!r}")
-    # verify the fit on every column
-    if fit_off != out_off or not np.allclose(col_val, sign * fit_phases, atol=1e-9):
-        raise OracleError("pauli fit failed verification")
-    return q, sign
+    fit = _fit_pauli(perm[inv ^ off], phases[inv], 1e-9)
+    if fit is None:
+        raise OracleError("conjugated operator is not a Pauli")
+    out_off, out_z, lead = fit
+    q = PauliOperator(n, _bit_reversed(out_off, n), _bit_reversed(out_z, n))
+    s = lead / 1j ** bin(q.x & q.z).count("1")  # Q itself carries i per Y
+    if abs(s - 1) < 1e-9:
+        return q, 1
+    if abs(s + 1) < 1e-9:
+        return q, -1
+    raise OracleError(f"non-real conjugation phase {s!r}")
 
 
 def oracle_truth_table(c: IcmCircuit) -> StabiliserTruthTable:

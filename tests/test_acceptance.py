@@ -269,6 +269,19 @@ def test_criterion_6_demote_requires_a_rotated_measurement():
         demote_rotated_measurement(c, c.rules[0].q1)
 
 
+@pytest.mark.parametrize("flavour", ["rotated_meas", "rotated_init"])
+def test_criterion_6_compiles_8000_clifford_gates_on_64_qubits_fast(flavour):
+    """Each gate updates a frame with one int XOR, so compiling is linear."""
+    rng = random.Random(64)
+    gates = []
+    for _ in range(8000):
+        name = rng.choice(("h", "p", "pdg", "x", "z", "cnot"))
+        gates.append(("cnot", *rng.sample(range(64), 2)) if name == "cnot"
+                     else (name, rng.randrange(64)))
+    g = GateList(64, tuple(gates))
+    assert _best_time(lambda: compile_to_icm(g, flavour), reps=3) < 0.5
+
+
 # --- 7: derivation and verification scale to large circuits ---------------------
 
 

@@ -132,6 +132,14 @@ def test_equiv_detects_difference(tmp_path, capsys):
     assert "equivalent: no" in capsys.readouterr().out
 
 
+def test_equiv_of_circuits_with_different_port_counts_says_no(tmp_path, capsys):
+    # two output ports (q1 and q2 are unmeasured) against teleport.icm's one
+    two = tmp_path / "two.icm"
+    two.write_text("icm v1\nqubits 2\nio q1\nancilla q2 teleport init X\ncnot q2 q1\n")
+    assert main(["equiv", str(two), fx("teleport.icm")]) == 1
+    assert capsys.readouterr().out == "equivalent: no\n"
+
+
 def test_equiv_size_cap(tmp_path, capsys):
     lines = ["icm v1", "qubits 13"] + [f"io q{i}" for i in range(13)]
     big = tmp_path / "big.icm"
@@ -291,6 +299,9 @@ measure a Y
 @pytest.mark.parametrize(
     "command, suffix, text, line, fragment",
     [
+        pytest.param("compile", ".gates", "", 1, "expected 'gates v1' header", id="gates-empty"),
+        pytest.param("compile", ".gates", "gates v1\n", 1,
+                     "expected 'qubits N' after header", id="gates-header-only"),
         pytest.param("compile", ".gates", "gates v1\nqubits 2\nt 3\n", 3,
                      "bad gate 't 3': qubit 3 is not in 1..2", id="gate-qubit-range"),
         pytest.param("compile", ".gates", "gates v1\nqubits 1\nfoo 1\n", 3,

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from icmverify import (
     channels_equal,
     choi_of_unitary,
     compile_to_icm,
+    fit_frames,
     parse_gates,
     validate_icm,
 )
@@ -22,6 +24,8 @@ def _corrected_choi_matches(gates: GateList, flavour: str, tol: float = 1e-9) ->
     res = compile_to_icm(gates, flavour=flavour)
     assert res.exact
     assert not validate_icm(res.circuit)
+    # the oracle's own fit of the frame agrees with the compiler's forms
+    assert fit_frames(res.circuit, ideal_unitary(gates), tol=tol) == res.frame_map()
     got = channel_choi(res.circuit, frames=res.frame_map())
     want = choi_of_unitary(ideal_unitary(gates))
     return channels_equal(got, want, tol=tol)
@@ -76,7 +80,7 @@ def test_empty_gate_list_compiles_to_wires():
     assert res.circuit.n == 3
     assert not res.circuit.cnots and not res.circuit.rules
     assert res.circuit.outputs == ("q1", "q2", "q3")
-    assert res.frame_for({}) == "III"
+    assert res.frame_map() == ((0, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize("flavour", FLAVOURS)
@@ -98,7 +102,7 @@ def test_pauli_gates_cost_nothing(name):
     assert res.circuit.n == 1
     assert not res.circuit.cnots
     form = res.x_forms[0] if name == "x" else res.z_forms[0]
-    assert form.const == 1 and not form.vars
+    assert form == 1  # the constant bit alone
 
 
 def test_flavour_purity():
@@ -196,22 +200,43 @@ def test_uncorrected_channel_differs_on_some_outcome():
 
 
 def test_frame_map_keys_cover_all_outcomes():
+    # p in rotated_meas: Z correction exactly when its ancilla a1 reads +1
     res = compile_to_icm(GateList(1, (("p", 0),)))
-    fm = res.frame_map()
-    measured = list(res.circuit.measured_ids())
-    assert len(measured) == 1
-    (a,) = measured
-    assert set(fm) == {frozenset({(a, 0)}), frozenset({(a, 1)})}
-    assert sorted(fm.values()) == ["I", "Z"]
-
-
-def test_frame_map_size_cap():
-    gates = GateList(1, tuple(("h", 0) for _ in range(6)))  # 18 ancillae
-    res = compile_to_icm(gates)
-    with pytest.raises(CompileError, match="too large"):
-        res.frame_map()
+    (a,) = res.circuit.measured_ids()
+    assert res.circuit.index(a) == 1
+    assert res.frame_map() == ((0,), (1 | 2 << 1,))
+    (z,) = res.z_forms
+    assert [(z & (1 | bit << 2)).bit_count() % 2 for bit in (0, 1)] == [1, 0]
 
 
 def test_frame_for_letters():
     res = compile_to_icm(GateList(1, (("x", 0), ("z", 0))))
-    assert res.frame_for({}) == "Y"
+    assert res.frame_map() == ((1,), (1,))  # Y, up to phase
+
+
+def _random_program(rng: random.Random, budget: int = 8) -> GateList:
+    """1-2 qubits of Clifford+T gates using at most ``budget`` ancillae."""
+    cost = {"h": 3, "t": 2, "tdg": 2, "p": 1, "pdg": 1, "x": 0, "z": 0, "cnot": 0}
+    nq = rng.randint(1, 2)
+    gates = []
+    for _ in range(rng.randint(1, 6)):
+        name = rng.choice(GATES_1Q + ("cnot",) * (nq - 1))
+        if cost[name] > budget:
+            break
+        budget -= cost[name]
+        gates.append((name, *rng.sample(range(2), 2)) if name == "cnot" else (name, rng.randrange(nq)))
+    return GateList(nq, tuple(gates))
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_fit_frames_recovers_the_compiled_forms(flavour):
+    rng = random.Random(2200 + FLAVOURS.index(flavour))
+    compiled = 0
+    while compiled < 300:
+        gates = _random_program(rng)
+        try:
+            res = compile_to_icm(gates, flavour)
+        except CompileError:
+            continue
+        compiled += 1
+        assert fit_frames(res.circuit, ideal_unitary(gates), tol=1e-9) == res.frame_map(), gates

@@ -31,7 +31,7 @@ from icmverify import (
 from icmverify import oracle
 from icmverify.oracle import MAX_ORACLE_QUBITS
 
-from conftest import load_fixture, random_circuit
+from conftest import FIXTURES, load_fixture, random_circuit
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -79,16 +79,13 @@ def test_teleport_needs_frames():
     raw = channel_choi(c)
     ident = choi_of_unitary(np.eye(2))
     assert not channels_equal(raw, ident)
-    frames = {
-        frozenset({("q1", 0)}): "I",
-        frozenset({("q1", 1)}): "X",
-    }
-    assert channels_equal(channel_choi(c, frames=frames), ident)
+    # X on the output exactly when q1 (declared first: bit 1 << 1) reads -1
+    assert channels_equal(channel_choi(c, frames=((2,), (0,))), ident)
 
 
 def test_static_frame_string():
     c = load_fixture("cnot.icm")
-    flipped = channel_choi(c, frames="XI")
+    flipped = channel_choi(c, frames=((1, 0), (0, 0)))  # constant X on port 0
     u = np.zeros((4, 4))
     u[[0, 1, 3, 2], [0, 1, 2, 3]] = 1
     x0 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
@@ -114,7 +111,12 @@ def test_extra_qubits_are_traced_out():
     # the ancilla copies q1 and is then discarded: Z-dephasing
     c = parse_circuit("icm v1\nio q1\nancilla a teleport init Z\ncnot q1 a\nout q1\n")
     assert np.array_equal(channel_choi(c), np.diag([1, 0, 0, 1]))
-    assert np.array_equal(channel_choi(c, frames="X"), np.diag([0, 1, 1, 0]))
+    assert np.array_equal(channel_choi(c, frames=((1,), (0,))), np.diag([0, 1, 1, 0]))
+
+
+def test_a_frame_must_cover_every_output_port(cnot_circuit):
+    with pytest.raises(OracleError, match="frame does not cover 2 output ports"):
+        channel_choi(cnot_circuit, frames=((1,), (0,)))
 
 
 def test_output_ports_must_be_unmeasured():
@@ -140,9 +142,14 @@ _OBSERVABLE = {"X": _X, "Y": _Y, "Z": _Z, "A": (_X + _Y) / np.sqrt(2)}
 _PAULI = {"I": np.eye(2), "X": _X, "Y": _Y, "Z": _Z}
 
 
+def _parity(v: int) -> int:
+    return bin(v).count("1") % 2
+
+
 def _reference_choi(c, frames):
     """Choi matrix from 2**n x 2**n operators: the CNOTs as matrices, each
-    branch as a product of projectors, extras and measured qubits traced out."""
+    branch as a product of projectors, extras and measured qubits traced out.
+    A frame's forms are evaluated on each branch into Pauli letters."""
     n = c.n
 
     def on(ops):
@@ -169,8 +176,9 @@ def _reference_choi(c, frames):
             kraus = on(projector(r.q1, r.b1, o[r.q1])) @ kraus
             if r.conditional:
                 kraus = on(projector(r.q2, r.b3 if o[r.q1] else r.b2, o[r.q2])) @ kraus
-        frame = frames if isinstance(frames, str) else frames.get(frozenset(o.items()), "")
-        if frame:
+        if frames is not None:
+            v = 1 | sum(2 << c.index(q) for q, bit in o.items() if bit)
+            frame = ["IZXY"[2 * _parity(x & v) + _parity(z & v)] for x, z in zip(*frames)]
             kraus = on({q: _PAULI[ch] for q, ch in zip(outs, frame)}) @ kraus
         t = kraus.reshape((2,) * n + (2**k,))
         kept = [n + q if q in outs else q for q in range(n)]
@@ -211,11 +219,16 @@ def test_channel_choi_matches_an_operator_reference(seed):
     rng = random.Random(7000 + seed)
     c = _branchy_circuit(rng)
     m = len(c.outputs or [q for q in c.qubits if q.id not in c.measured_ids()])
-    frames = {frozenset(o.items()): "".join(rng.choice("IXYZ") for _ in range(m))
-              for o in c.outcomes()}
+    # random affine forms over the constant and the measured qubits' bits
+    bits = [1] + [2 << c.index(q) for q in c.measured_ids()]
+
+    def form():
+        return sum(b for b in bits if rng.random() < 0.5)
+
+    frames = tuple(tuple(form() for _ in range(m)) for _ in "xz")
     for fr in (None, frames):
         got = channel_choi(c, frames=fr)
-        want = _reference_choi(c, {} if fr is None else fr)
+        want = _reference_choi(c, fr)
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -266,11 +279,27 @@ def test_oracle_table_detects_mutation(t_circuit):
 def test_fit_frames_teleport():
     c = load_fixture("teleport.icm")
     frames = fit_frames(c, np.eye(2))
-    assert frames == {
-        frozenset({("q1", 0)}): "I",
-        frozenset({("q1", 1)}): "X",
-    }
+    assert frames == ((2,), (0,))
     assert channels_equal(channel_choi(c, frames=frames), choi_of_unitary(np.eye(2)))
+
+
+def test_fit_frames_leaves_zero_weight_branches_free():
+    # a3 reads +1 on every branch of weight: q1 alone selects the X correction,
+    # although the branch q1 = 1, a3 = 1 (weight 0) would take any Pauli
+    text = (FIXTURES / "teleport.icm").read_text().replace("qubits 2", "qubits 3")
+    c = parse_circuit(text + "ancilla a3 teleport init Z\nmeasure a3 Z\n")
+    frames = fit_frames(c, np.eye(2))
+    assert frames == ((2,), (0,))
+    assert channels_equal(channel_choi(c, frames=frames), choi_of_unitary(np.eye(2)))
+
+
+def test_fit_frames_rejects_corrections_that_no_affine_form_gives(monkeypatch):
+    # X exactly when a and b both read -1: a product of outcome bits, not a parity
+    c = parse_circuit("icm v1\nio q1\nancilla a teleport init Z\nancilla b teleport init Z\n"
+                      "measure a Z\nmeasure b Z\nout q1\n")
+    branches = [(o, (_X if o["a"] and o["b"] else np.eye(2)) / 2) for o in c.outcomes()]
+    monkeypatch.setattr(oracle, "_branches", lambda *a: iter(branches))
+    assert fit_frames(c, np.eye(2)) is None
 
 
 def test_fit_frames_rejects_non_pauli_residue():
@@ -286,7 +315,7 @@ def test_fit_frames_shape_check():
 
 
 def test_fit_frames_size_cap_counts_input_ports():
-    # n = 9 fits the cap but n + k = 14 does not; 4 output ports are allowed
+    # n = 9 fits the cap but n + k = 14 does not
     qubits = [QubitDecl(f"q{i}", "io") for i in range(5)]
     qubits += [QubitDecl(f"a{i}", "teleport", "Z") for i in range(4)]
     rules = tuple(MeasurementRule(f"q{i}", "X") for i in range(5))
@@ -365,19 +394,9 @@ def test_conjugate_matches_kron_matrices(seed):
     u[perm, np.arange(len(perm))] = 1
 
     def dense(p):
-        return functools.reduce(np.kron, [oracle.PAULI_1Q[p.letter(k)] for k in range(p.n)])
+        return functools.reduce(np.kron, [_PAULI[p.letter(k)] for k in range(p.n)])
 
     for _ in range(8):
         p = pauli_parse("".join(rng.choice("IXYZ") for _ in range(c.n)))
         q, sign = oracle._conjugate(perm, np.argsort(perm), p)
         assert np.allclose(u @ dense(p) @ u.T, sign * dense(q))
-
-
-def test_frame_unitaries_are_memoised_and_read_only():
-    u = oracle._frame_unitary("XZ", 2)
-    assert oracle._frame_unitary("XZ", 2) is u
-    assert not u.flags.writeable
-    assert np.array_equal(u, np.kron(oracle.PAULI_1Q["X"], oracle.PAULI_1Q["Z"]))
-    assert not oracle._frame_unitary(None, 2).flags.writeable
-    with pytest.raises(OracleError, match="does not cover"):
-        oracle._frame_unitary("X", 2)
