@@ -219,7 +219,7 @@ def parse_circuit(text: str) -> IcmCircuit:
                 raise IcmParseError(f"expected 'icm v1' header, got {raw.strip()!r}", ln)
             break
     else:
-        raise IcmParseError("missing 'icm v1' header")
+        raise IcmParseError("missing 'icm v1' header", 1)
 
     for ln, raw in numbered:
         tok = raw.split()

@@ -16,6 +16,7 @@ from .circuit import (
     violation_line,
 )
 from .compiler import CompileError, compile_to_icm, parse_gates
+from .pauli import PauliError
 from .specfmt import (
     SpecParseError,
     derive_specification,
@@ -87,10 +88,31 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall else 1
 
 
+def _commutation_break(table):
+    """The first pair of rows that commute on one side of '->' only; a
+    table derived from a circuit has none."""
+    def anti(p, q):
+        return bin(p.x & q.z ^ p.z & q.x).count("1") & 1
+
+    for i, r in enumerate(table.rows):
+        for s in table.rows[:i]:
+            if anti(r.input, s.input) != anti(r.output, s.output):
+                return s, r
+    return None
+
+
 def _cmd_spec_diff(args) -> int:
     a = parse_spec(_read(args.spec_a))
     b = parse_spec(_read(args.spec_b))
-    diff = spec_diff(a, b)
+    try:
+        diff = spec_diff(a, b)
+    except PauliError:
+        # such a table has no canonical form: a product of its rows is not a row
+        for path, spec in ((args.spec_a, a), (args.spec_b, b)):
+            if pair := _commutation_break(spec.table):
+                raise SpecParseError(f"{path}: table rows are incompatible: '{pair[0]}' "
+                                     f"and '{pair[1]}' commute on one side of '->' only") from None
+        raise
     print(diff.format())
     return 0 if diff.equal else 1
 

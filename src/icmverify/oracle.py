@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -32,11 +31,12 @@ KET = {
     "A": np.array([1.0, np.exp(0.25j * np.pi)], dtype=complex) / _SQRT2,
 }
 
-# measurement bras by basis and outcome bit (0 for the +1 eigenvalue); the
-# other eigenstate is |1> for Z and Z|+1> for X, Y and A ("A-basis
-# measurement" projects onto |A>, Z|A>)
+# measurement bras by basis, one row per outcome bit (0 for the +1
+# eigenvalue), so one matmul reads both outcomes; the other eigenstate is
+# |1> for Z and Z|+1> for X, Y and A ("A-basis measurement" projects onto
+# |A>, Z|A>)
 _BRA = {
-    b: (ket.conj(), (np.array([0.0, 1.0]) if b == "Z" else ket * [1, -1]).conj())
+    b: np.stack([ket, np.array([0.0, 1.0]) if b == "Z" else ket * [1, -1]]).conj()
     for b, ket in KET.items()
 }
 
@@ -68,28 +68,21 @@ def _cnot_permutation(c: IcmCircuit) -> np.ndarray:
     return perm
 
 
-def _branches(c: IcmCircuit, keep: list[str]) -> Iterator[tuple[dict[str, int], np.ndarray]]:
-    """Yield (outcome, K) for every measurement branch, in ``c.outcomes()`` order.
+def _kraus_stack(c: IcmCircuit, keep: list[str]) -> np.ndarray:
+    """Every branch's unnormalised Kraus operator, stacked in ``c.outcomes()`` order.
 
-    K is the branch's unnormalised Kraus operator, a (2**len(keep), 2**k)
-    matrix from the io qubits' computational inputs (first io qubit most
-    significant) to the qubits of ``keep``, which must be exactly the
-    unmeasured qubits (``keep[0]`` most significant).  A valid ICM circuit
-    measures each qubit at most once, so the measured qubits and ``keep``
-    together name every qubit once.  The CNOT region runs
-    once, with the 2**k inputs as a batch axis and the ancillae in their
-    init kets.  Each branch then contracts every measured qubit with the
-    bra of its outcome; a conditional rule's partner takes the basis its
-    trigger's outcome selects.
+    Each is a (2**len(keep), 2**k) matrix from the io qubits'
+    computational inputs (first io qubit most significant) to the qubits
+    of ``keep``, which must be exactly the unmeasured qubits (``keep[0]``
+    most significant).  The CNOT region runs once, with the 2**k inputs
+    as a batch axis and the ancillae in their init kets.  Then each
+    measured qubit, in rule order, turns its axis into its outcome axis
+    with one matmul by its basis's two bras; a conditional rule's
+    partner takes the pair of bases its trigger's outcome axis selects.
     """
     k = len(c.io_ids())
     _check_size(c.n + k)
-    plan = []  # (qubit, basis on trigger outcome 0, basis on 1, trigger)
-    for r in c.rules:
-        plan.append((r.q1, r.b1, r.b1, r.q1))
-        if r.conditional:
-            plan.append((r.q2, r.b2, r.b3, r.q1))
-    axes = [c.index(qid) for qid, *_ in plan] + [c.index(qid) for qid in keep]
+    axes = [c.index(q) for r in c.rules for q in r.measured_qubits()] + [c.index(q) for q in keep]
     eye = np.eye(2, dtype=complex)
     # one column per io basis state, in np.kron order (qubit 0 slowest)
     state = functools.reduce(
@@ -97,13 +90,15 @@ def _branches(c: IcmCircuit, keep: list[str]) -> Iterator[tuple[dict[str, int], 
     )
     psi = np.empty_like(state)
     psi[_cnot_permutation(c)] = state
-    # measured qubits lead, in rule order, so each bra contracts axis 0
-    psi = np.ascontiguousarray(psi.reshape((2,) * c.n + (-1,)).transpose(axes + [c.n]))
-    for outcome in c.outcomes():
-        t = psi
-        for qid, b0, b1, trigger in plan:
-            t = _BRA[b1 if outcome[trigger] else b0][outcome[qid]] @ t.reshape(2, -1)
-        yield outcome, t.reshape(2 ** len(keep), 2**k)
+    # measured qubits lead, in rule order; the i-th is contracted on axis i
+    psi = psi.reshape((2,) * c.n + (-1,)).transpose(axes + [c.n])
+    i = 0
+    for r in c.rules:
+        psi = _BRA[r.b1] @ psi.reshape(2**i, 2, -1)
+        if r.conditional:  # the pair's leading axis meets the trigger's outcome axis
+            psi = np.stack([_BRA[r.b2], _BRA[r.b3]]) @ psi.reshape(2**i, 2, 2, -1)
+        i += len(r.measured_qubits())
+    return psi.reshape(2**i, 2 ** len(keep), 2**k)
 
 
 def _port_ids(c: IcmCircuit) -> tuple[list[str], list[str], list[str]]:
@@ -123,23 +118,27 @@ def _port_ids(c: IcmCircuit) -> tuple[list[str], list[str], list[str]]:
 Frames = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _outcome_bits(c: IcmCircuit, outcome: dict[str, int]) -> int:
-    """A branch's outcome bits in the frame layout: bit 0 set, bit k + 1 for qubit k."""
-    return 1 | sum(2 << c.index(q) for q, b in outcome.items() if b)
+def _branch_bits(c: IcmCircuit) -> np.ndarray:
+    """Each branch's outcome bits, in ``c.outcomes()`` order: bit 0 set, bit q + 1 if qubit q reads -1."""
+    ids = c.measured_ids()
+    j = np.arange(2 ** len(ids))
+    v = np.ones_like(j)
+    for t, qid in enumerate(ids):  # the last measured qubit varies fastest
+        v |= (j >> (len(ids) - 1 - t) & 1) << (c.index(qid) + 1)
+    return v
 
 
-def _port_mask(forms: tuple[int, ...], v: int) -> int:
+def _port_mask(forms: tuple[int, ...], v: np.ndarray) -> np.ndarray:
     """Each form's parity over ``v``, as a row-index mask: port 0 is the top bit."""
-    mask = 0
+    mask = np.zeros_like(v)
     for f in forms:
-        mask = mask << 1 | ((f & v).bit_count() & 1)
+        mask = mask << 1 | (_signs(v, f) < 0)
     return mask
 
 
-def _signs(size: int, zmask: int) -> np.ndarray:
-    """(-1)**popcount(j & zmask) for j in range(size): the diagonal of Z^zmask."""
-    ks = np.arange(size)
-    par = np.zeros(size, dtype=np.int64)
+def _signs(ks: np.ndarray, zmask: int) -> np.ndarray:
+    """(-1)**popcount(k & zmask) for each k of ``ks``; over arange, the diagonal of Z^zmask."""
+    par = np.zeros(ks.shape, dtype=np.int64)
     for bit in range(zmask.bit_length()):
         if (zmask >> bit) & 1:
             par ^= (ks >> bit) & 1
@@ -156,29 +155,27 @@ def channel_choi(c: IcmCircuit, frames: Frames | None = None) -> np.ndarray:
     of its forms over the branch's outcome bits.  Unmeasured qubits that
     are not outputs are traced out.
 
-    The matrix is ``M @ M^H`` for the stacked branch Kraus columns M, so
-    it is Hermitian and positive semidefinite by construction.  What a
-    faulty branch enumeration would break is trace preservation, so
-    OracleError is raised unless ||M||_F^2 = tr(Choi) is 2**k to a
-    relative 1e-10.
+    Every branch's Kraus operator is built in one contraction, so memory
+    is one 2**(n + k) state plus their stack.  The matrix is ``M @ M^H``
+    for the stacked branch Kraus columns M, so it is Hermitian and
+    positive semidefinite by construction.  What a faulty branch
+    enumeration would break is trace preservation, so OracleError is
+    raised unless ||M||_F^2 = tr(Choi) is 2**k to a relative 1e-10.
     """
     ins, outs, extras = _port_ids(c)
     k, m = len(ins), len(outs)
     if frames is not None and not len(frames[0]) == len(frames[1]) == m:
         raise OracleError(f"frame does not cover {m} output ports")
-    rows = np.arange(2**m)
+    kraus = _kraus_stack(c, outs + extras).reshape(-1, 2**m, 2 ** len(extras), 2**k)
+    if frames is not None:
+        v = _branch_bits(c)
+        x, z = _port_mask(frames[0], v), _port_mask(frames[1], v)
+        if x.any() or z.any():  # row j of X^x Z^z K is sign(j ^ x) * row j ^ x of K
+            src = np.arange(2**m) ^ x[:, None]
+            signs = _signs(src & z[:, None], 2**m - 1)
+            kraus = np.take_along_axis(kraus, src[..., None, None], axis=1) * signs[..., None, None]
     # one column per (branch, extra basis state), rows indexed (input, output)
-    columns = []
-    for outcome, kraus in _branches(c, outs + extras):
-        kraus = kraus.reshape(2**m, -1)
-        if frames is not None:
-            v = _outcome_bits(c, outcome)
-            x, z = _port_mask(frames[0], v), _port_mask(frames[1], v)
-            if x or z:  # row j of X^x Z^z K is sign(j ^ x) * row j ^ x of K
-                src = rows ^ x
-                kraus = kraus[src] * _signs(2**m, z)[src, None]
-        columns.append(kraus.reshape(2**m, -1, 2**k).transpose(2, 0, 1).reshape(2 ** (k + m), -1))
-    vecs = np.concatenate(columns, axis=1)
+    vecs = kraus.transpose(3, 1, 0, 2).reshape(2 ** (k + m), -1)
     trace = np.vdot(vecs, vecs).real
     if abs(trace - 2**k) > 1e-10 * 2**k:
         raise OracleError(f"channel not trace-preserving: Choi trace {trace:.12g}, want {2**k}")
@@ -219,7 +216,7 @@ def _fit_pauli(rows: np.ndarray, vals: np.ndarray, tol: float) -> tuple[int, int
     for bit in range((rows.size - 1).bit_length()):
         if (vals[1 << bit] * np.conj(lead)).real < 0:
             zmask |= 1 << bit
-    if np.abs(vals - lead * _signs(rows.size, zmask)).max() > tol * max(1.0, abs(lead)):
+    if np.abs(vals - lead * _signs(np.arange(rows.size), zmask)).max() > tol * max(1.0, abs(lead)):
         return None
     return off, zmask, lead
 
@@ -227,15 +224,15 @@ def _fit_pauli(rows: np.ndarray, vals: np.ndarray, tol: float) -> tuple[int, int
 def fit_frames(c: IcmCircuit, u_ideal: np.ndarray, tol: float = 1e-8) -> Frames | None:
     """The Pauli frame that makes the circuit implement ``u_ideal``.
 
-    For every measurement branch the Kraus operator K is computed densely,
-    and K U^dagger is read as a multiple of one Pauli string, which is the
+    Every branch's Kraus operator K comes from one contraction, and
+    K U^dagger is read as a multiple of one Pauli string, which is the
     branch's correction.  The corrections are then solved for affine forms
     over the outcome bits by GF(2) elimination, in the frame layout
     ``channel_choi`` takes.  A branch of zero weight takes any correction.
     Returns None if some branch of nonzero weight is not a Pauli multiple
     of the target, or if no affine forms give every branch its correction.
-    Like ``channel_choi`` it holds all 2**k inputs at once, so it is capped
-    at n + k qubits.
+    Like ``channel_choi`` it holds one 2**(n + k) state plus the stack, so
+    it is capped at n + k qubits.
     """
     ins, outs, extras = _port_ids(c)
     k, m = len(ins), len(outs)
@@ -246,7 +243,7 @@ def fit_frames(c: IcmCircuit, u_ideal: np.ndarray, tol: float = 1e-8) -> Frames 
 
     cols = np.arange(2**m)
     pivots: dict[int, tuple[int, int]] = {}  # top bit -> (outcome bits, Pauli bits)
-    for outcome, kraus in _branches(c, outs):
+    for v, kraus in zip(_branch_bits(c).tolist(), _kraus_stack(c, outs)):
         if np.abs(kraus).max() < tol:
             continue
         residue = kraus @ u_ideal.conj().T  # should be lead * X^off Z^zmask
@@ -259,7 +256,7 @@ def fit_frames(c: IcmCircuit, u_ideal: np.ndarray, tol: float = 1e-8) -> Frames 
         if np.abs(residue).max() > tol * max(1.0, abs(lead)):
             return None
         # one GF(2) equation: the forms' parities over v are these Pauli bits
-        v, rhs = _outcome_bits(c, outcome), off | zmask << m
+        rhs = off | zmask << m
         while v and (top := v.bit_length()) in pivots:
             pv, pr = pivots[top]
             v, rhs = v ^ pv, rhs ^ pr
@@ -294,7 +291,7 @@ def _pauli_action(p: PauliOperator):
     n, x, z = p.n, p.x, p.z
     off, zmask = _bit_reversed(x, n), _bit_reversed(z, n)
     base = (1j) ** (p.phase % 4) * (1j) ** bin(x & z).count("1")
-    return off, base * _signs(2**n, zmask)
+    return off, base * _signs(np.arange(2**n), zmask)
 
 
 def _conjugate(

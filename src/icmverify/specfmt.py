@@ -298,7 +298,7 @@ def parse_spec(text: str) -> Specification:
             raise SpecParseError(f"unknown directive {kw!r}", lineno)
 
     if n is None:
-        raise SpecParseError("missing 'qubits' line")
+        raise SpecParseError("missing 'qubits' line", 1)
     try:
         if len(io) + len(inits) != n:
             # a table holds n columns, so a count the roster cannot meet

@@ -89,7 +89,7 @@ def ref_parse_circuit(text: str) -> IcmCircuit:
             raise IcmParseError(f"unknown directive {kw!r}", ln)
 
     if not header_seen:
-        raise IcmParseError("missing 'icm v1' header")
+        raise IcmParseError("missing 'icm v1' header", 1)
     if not qubits:
         raise IcmParseError("circuit declares no qubits")
     if declared_n is not None and declared_n != len(qubits):

@@ -214,7 +214,28 @@ def test_criterion_5_verdicts_track_the_channel_oracle():
     assert seed < 2000
 
 
-# --- 6: the compiled gadget corpus implements its gates exactly ------------------
+def test_criterion_5_channel_choi_of_1024_branches_is_fast():
+    """All 2**10 branches come from one contraction, not one loop pass each."""
+    rng = random.Random(1024)
+    qubits = [QubitDecl("q0", "io")]
+    qubits += [QubitDecl(f"a{j}", "distillation", rng.choice("XYZA")) for j in range(10)]
+    ids = [q.id for q in qubits]
+    cnots = tuple(tuple(rng.sample(ids, 2)) for _ in range(30))
+    rules = []
+    for j in range(0, 10, 2):
+        b = [rng.choice("XYZA") for _ in range(3)]
+        if j % 4 == 0:  # a conditional pair
+            rules.append(MeasurementRule(f"a{j}", b[0], f"a{j + 1}", b[1], b[2]))
+        else:
+            rules += [MeasurementRule(f"a{j}", b[0]), MeasurementRule(f"a{j + 1}", b[1])]
+    c = IcmCircuit(tuple(qubits), cnots, tuple(rules))
+    assert not validate_icm(c)
+    assert c.n + 1 == 12 and len(c.measured_ids()) == 10
+    assert abs(np.trace(channel_choi(c)) - 2) < 1e-10
+    assert _best_time(lambda: channel_choi(c), reps=5) < 0.01
+
+
+# --- 6:the compiled gadget corpus implements its gates exactly ------------------
 
 _CORPUS = ["h", "p", "pdg", "t", "tdg"]
 

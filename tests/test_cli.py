@@ -58,6 +58,13 @@ def test_missing_file_exit_code(capsys):
     assert main(["parse", "/no/such/file.icm"]) == 2
 
 
+def test_parse_of_an_empty_file_names_line_1(capsys, tmp_path):
+    empty = tmp_path / "empty.icm"
+    empty.write_text("")
+    assert main(["parse", str(empty)]) == 2
+    assert capsys.readouterr().err == "error: line 1: missing 'icm v1' header\n"
+
+
 # --- derive-spec / verify ----------------------------------------------------
 
 
@@ -110,6 +117,26 @@ def test_spec_diff_bad_rule_exit_code(capsys, tmp_path, t_spec_file):
     bad.write_text(text.replace("? q3 X : q3 Y", "? q2 X : q2 Y"))
     assert main(["spec-diff", str(bad), t_spec_file]) == 2
     assert "line 12" in capsys.readouterr().err
+
+
+def test_spec_diff_of_a_spec_without_qubits_names_line_1(capsys, tmp_path):
+    bare = tmp_path / "bare.spec"
+    bare.write_text("spec v1\n")
+    assert main(["spec-diff", str(bare), str(bare)]) == 2
+    assert capsys.readouterr().err == "error: line 1: missing 'qubits' line\n"
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_spec_diff_names_the_spec_whose_rows_are_incompatible(capsys, tmp_path, t_spec_file,
+                                                               bad_first):
+    # XYZ commutes with XII, but their outputs ZII and XXX anticommute
+    bad = tmp_path / "bad.spec"
+    bad.write_text(open(t_spec_file).read().replace("+ ZII -> ZII", "+ XYZ -> ZII"))
+    pair = [str(bad), t_spec_file] if bad_first else [t_spec_file, str(bad)]
+    assert main(["spec-diff", *pair]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: table rows are incompatible")
+    assert "'+ XII -> XXX' and '+ XYZ -> ZII'" in err
 
 
 # --- equiv -------------------------------------------------------------------

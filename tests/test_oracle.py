@@ -1,5 +1,4 @@
 import functools
-import itertools
 import random
 
 import numpy as np
@@ -53,10 +52,8 @@ def test_choi_trace_convention(cnot_circuit):
 
 def test_a_dropped_branch_fails_the_trace_check(monkeypatch, t_circuit):
     assert abs(np.trace(channel_choi(t_circuit)) - 2.0) < 1e-12
-    branches = oracle._branches
-    monkeypatch.setattr(
-        oracle, "_branches", lambda *a: itertools.islice(branches(*a), 1, None)
-    )
+    stack = oracle._kraus_stack
+    monkeypatch.setattr(oracle, "_kraus_stack", lambda *a: stack(*a)[1:])
     with pytest.raises(OracleError, match="trace-preserving: Choi trace 1.5, want 2"):
         channel_choi(t_circuit)
 
@@ -235,9 +232,42 @@ def test_channel_choi_matches_an_operator_reference(seed):
 # --- branch Kraus operators ---------------------------------------------------
 
 
+def _bra_contraction(c, keep):
+    """Each branch's Kraus operator by a loop over ``c.outcomes()``: the
+    state after the CNOT region, each measured qubit contracted with the
+    bra of its outcome in the basis its rule (and trigger) selects."""
+    n, k = c.n, len(c.io_ids())
+    state = functools.reduce(np.kron, [
+        np.eye(2) if q.kind == "io" else oracle.KET[q.init][:, None] for q in c.qubits
+    ])
+    psi = np.empty_like(state)
+    psi[oracle._cnot_permutation(c)] = state
+    psi = psi.reshape((2,) * n + (2**k,))
+    measured = [q for r in c.rules for q in r.measured_qubits()]
+    psi = psi.transpose([c.index(q) for q in measured + keep] + [n])
+    for o in c.outcomes():
+        t = psi
+        for r in c.rules:
+            t = oracle._BRA[r.b1][o[r.q1]] @ t.reshape(2, -1)
+            if r.conditional:
+                t = oracle._BRA[r.b3 if o[r.q1] else r.b2][o[r.q2]] @ t.reshape(2, -1)
+        yield t.reshape(2 ** len(keep), 2**k)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kraus_stack_matches_a_per_outcome_contraction(seed):
+    c = _branchy_circuit(random.Random(7000 + seed))
+    keep = [q.id for q in c.qubits if q.id not in c.measured_ids()]
+    stack = oracle._kraus_stack(c, keep)
+    want = list(_bra_contraction(c, keep))
+    assert stack.shape == (len(want), 2 ** len(keep), 2 ** len(c.io_ids()))
+    for j, kraus in enumerate(want):
+        assert np.abs(stack[j] - kraus).max() < 1e-12
+
+
 def test_branch_kraus_teleport():
     c = load_fixture("teleport.icm")
-    kraus = {o["q1"]: k for o, k in oracle._branches(c, ["q2"])}
+    kraus = dict(zip((o["q1"] for o in c.outcomes()), oracle._kraus_stack(c, ["q2"])))
     assert sorted(kraus) == [0, 1]
     # +1 branch carries |0> through unchanged, weight 1/2
     assert np.allclose(kraus[0] @ KET0, KET0 / np.sqrt(2))
@@ -245,7 +275,8 @@ def test_branch_kraus_teleport():
 
 
 def test_branch_kraus_conditional_bases(t_circuit):
-    [kraus] = [k for o, k in oracle._branches(t_circuit, ["q1"]) if o == {"q2": 0, "q3": 0}]
+    stack = oracle._kraus_stack(t_circuit, ["q1"])
+    [kraus] = [k for o, k in zip(t_circuit.outcomes(), stack) if o == {"q2": 0, "q3": 0}]
     vec = kraus @ KET0
     assert np.vdot(vec, vec).real > 0
 
@@ -297,8 +328,8 @@ def test_fit_frames_rejects_corrections_that_no_affine_form_gives(monkeypatch):
     # X exactly when a and b both read -1: a product of outcome bits, not a parity
     c = parse_circuit("icm v1\nio q1\nancilla a teleport init Z\nancilla b teleport init Z\n"
                       "measure a Z\nmeasure b Z\nout q1\n")
-    branches = [(o, (_X if o["a"] and o["b"] else np.eye(2)) / 2) for o in c.outcomes()]
-    monkeypatch.setattr(oracle, "_branches", lambda *a: iter(branches))
+    stack = np.stack([(_X if o["a"] and o["b"] else np.eye(2)) / 2 for o in c.outcomes()])
+    monkeypatch.setattr(oracle, "_kraus_stack", lambda *a: stack)
     assert fit_frames(c, np.eye(2)) is None
 
 
